@@ -2,16 +2,29 @@
 //! applying a classical hierarchical clustering algorithm such as the
 //! single link method to Data Bubbles, we do not need more information
 //! than defined above") — the bubble distance of Definition 6 drives an
-//! ordinary agglomerative algorithm, and the resulting dendrogram is
+//! ordinary hierarchical algorithm, and the resulting dendrogram is
 //! expanded back to the original objects via the classification.
+//!
+//! Single link is the minimum spanning tree of the bubble distances, so
+//! it runs as SLINK over the space's distance rows: O(k²) time and O(k)
+//! memory, reading the rows of the precomputed [`crate::BubbleDistanceMatrix`]
+//! when the space holds one (a recluster's OPTICS walk already paid for
+//! it) and evaluating them on the fly otherwise. Complete, Average and
+//! Ward run the O(k³) Lance–Williams loop.
 
-use db_hierarchical::{agglomerative_from_fn, Dendrogram, Linkage};
+use db_hierarchical::{agglomerative_from_fn, slink_from_rows, Dendrogram, Linkage};
 
 use crate::bubble::BubbleError;
 use crate::distance::bubble_distance;
 use crate::space::BubbleSpace;
 
 /// Fallible form of [`bubble_dendrogram`] for bubble sets of unknown size.
+///
+/// [`Linkage::Single`] costs O(k²) time and O(k) memory and reads the
+/// space's distance matrix when it has one; the other linkages cost
+/// O(k³) time and O(k²) memory. Every distance is evaluated as `(i, j)`
+/// with `i < j` on both routes, so Single's merge heights are bit-for-bit
+/// those of `agglomerative_from_fn(k, Linkage::Single, ..)`.
 ///
 /// # Errors
 ///
@@ -24,9 +37,12 @@ pub fn try_bubble_dendrogram(
     if bubbles.is_empty() {
         return Err(BubbleError::EmptyBubbleSet);
     }
-    Ok(agglomerative_from_fn(bubbles.len(), linkage, |a, b| {
-        bubble_distance(&bubbles[a], &bubbles[b], a == b)
-    }))
+    Ok(match linkage {
+        Linkage::Single => slink_from_rows(bubbles.len(), |i, row| space.distance_row_tail(i, row)),
+        _ => agglomerative_from_fn(bubbles.len(), linkage, |a, b| {
+            bubble_distance(&bubbles[a], &bubbles[b], a == b)
+        }),
+    })
 }
 
 /// Builds the hierarchical clustering of a bubble set under the given

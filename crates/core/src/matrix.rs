@@ -222,6 +222,19 @@ impl BubbleDistanceMatrix {
         (&self.ids[lo..hi], &self.dists[lo..hi])
     }
 
+    /// Scatters the tail of row `i` back into id order: `out[j] =
+    /// dist(i, j)` for every `j > i`; other entries are left untouched.
+    /// One O(k) pass over the sorted row, no distance evaluation.
+    pub(crate) fn row_tail_into(&self, i: usize, out: &mut [f64]) {
+        let (ids, dists) = self.row(i);
+        for (&j, &d) in ids.iter().zip(dists) {
+            let j = j as usize;
+            if j > i {
+                out[j] = d;
+            }
+        }
+    }
+
     /// Appends the ε-neighbourhood of bubble `i` to `out`, identical to
     /// the exhaustive scan-and-sort (the row prefix with `d <= eps`).
     pub fn neighborhood_into(&self, i: usize, eps: f64, out: &mut Vec<Neighbor>) {

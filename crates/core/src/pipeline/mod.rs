@@ -174,8 +174,10 @@ impl fmt::Display for PipelinePhase {
     }
 }
 
-/// One rung of the degradation ladder taken by [`run_pipeline_supervised`]:
-/// why the previous attempt stopped and what the retry coarsened.
+/// One degradation-ladder rung taken by a supervised entry point
+/// ([`run_pipeline_supervised`], [`recluster_supervised`],
+/// [`recluster_bubbles_supervised`]): why the previous attempt stopped
+/// and what the retry coarsened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degradation {
     /// The typed error that triggered this retry.
@@ -452,46 +454,46 @@ pub fn run_pipeline(ds: &Dataset, cfg: &PipelineConfig) -> Result<PipelineOutput
     db_obs::trace_instant!("pipeline.compressed", "n_representatives", reps.len());
 
     // ------------------------------------------------------ steps 2–3
-    let cr = cluster_and_recover(&reps, &stats, assignment.as_deref(), cfg, &sup)?;
+    let clustered = cluster_step(&reps, &stats, cfg, &sup)?;
+    let (expanded, recovery) =
+        recover_step(&clustered, reps.len(), assignment.as_deref(), cfg, &sup)?;
 
     Ok(PipelineOutput {
-        rep_ordering: cr.rep_ordering,
-        expanded: cr.expanded,
+        rep_ordering: clustered.rep_ordering,
+        expanded,
         n_representatives: reps.len(),
-        timings: PipelineTimings { compression, clustering: cr.clustering, recovery: cr.recovery },
+        timings: PipelineTimings { compression, clustering: clustered.elapsed, recovery },
         run_id: run_id.get(),
         degradations: Vec::new(),
     })
 }
 
-/// Output of the shared clustering + recovery stages (steps 2–3).
-struct ClusterRecover {
+/// Output of the clustering step (step 2).
+struct Clustered {
     rep_ordering: ClusterOrdering,
-    expanded: Option<ExpandedOrdering>,
-    clustering: Duration,
-    recovery: Duration,
+    /// The walked bubble space ([`Recovery::Bubbles`] only), with its
+    /// distance matrix when the step built one.
+    space: Option<BubbleSpace>,
+    elapsed: Duration,
 }
 
-/// Steps 2–3 shared by [`run_pipeline`] and
-/// [`recluster_from_compression`]: OPTICS over the representatives (as
-/// points or Data Bubbles, with the supervised matrix precompute) followed
-/// by the configured recovery expansion. `assignment` maps every original
-/// object to its representative and is required for non-naive recoveries.
-fn cluster_and_recover(
+/// Step 2, shared by every pipeline and recluster entry point: OPTICS
+/// over the representatives — as points for the naive and weighted
+/// recoveries, as Data Bubbles (with the supervised matrix precompute)
+/// for [`Recovery::Bubbles`].
+fn cluster_step(
     reps: &Dataset,
     stats: &[Cf],
-    assignment: Option<&[u32]>,
     cfg: &PipelineConfig,
     sup: &Supervisor,
-) -> Result<ClusterRecover, PipelineError> {
-    // ------------------------------------------------------ step 2
+) -> Result<Clustered, PipelineError> {
     // db-audit: allow(no-wallclock-in-core) -- PipelineTimings metadata:
     // phase wall times are reported in the output, never steer computation.
     let t1 = Instant::now();
     let span_clustering = db_obs::span!("pipeline.clustering");
     fault::inject("clustering", sup.token());
     let clustering_stop = |stop| stop_error(stop, PipelinePhase::Clustering);
-    let (rep_ordering, bubble_space) = match cfg.recovery {
+    let (rep_ordering, space) = match cfg.recovery {
         Recovery::Naive | Recovery::Weighted => {
             (optics_points_supervised(reps, &cfg.optics, sup).map_err(clustering_stop)?, None)
         }
@@ -516,9 +518,20 @@ fn cluster_and_recover(
         }
     };
     drop(span_clustering);
-    let clustering = t1.elapsed();
+    Ok(Clustered { rep_ordering, space, elapsed: t1.elapsed() })
+}
 
-    // ------------------------------------------------------ step 3
+/// Step 3, shared by [`run_pipeline`] and [`recluster_from_compression`]:
+/// the configured recovery expansion of the step-2 ordering, with its wall
+/// time. `assignment` maps every original object to its representative
+/// and is required for non-naive recoveries.
+fn recover_step(
+    clustered: &Clustered,
+    n_reps: usize,
+    assignment: Option<&[u32]>,
+    cfg: &PipelineConfig,
+    sup: &Supervisor,
+) -> Result<(Option<ExpandedOrdering>, Duration), PipelineError> {
     // db-audit: allow(no-wallclock-in-core) -- PipelineTimings metadata:
     // phase wall times are reported in the output, never steer computation.
     let t2 = Instant::now();
@@ -531,36 +544,55 @@ fn cluster_and_recover(
             let Some(assignment) = assignment else {
                 return Err(PipelineError::Internal("classification did not run before recovery"));
             };
-            let mut members = vec![Vec::new(); reps.len()];
+            let mut members = vec![Vec::new(); n_reps];
             for (i, &a) in assignment.iter().enumerate() {
                 members[a as usize].push(i);
             }
-            Some(match cfg.recovery {
-                Recovery::Weighted => expand_weighted_supervised(&rep_ordering, &members, sup)
-                    .map_err(recovery_stop)?,
-                Recovery::Bubbles => {
-                    let Some(space) = bubble_space.as_ref() else {
-                        return Err(PipelineError::Internal(
-                            "bubble space missing for bubble recovery",
-                        ));
-                    };
-                    expand_bubbles_supervised(
-                        &rep_ordering,
-                        &members,
-                        space,
-                        cfg.optics.min_pts,
-                        sup,
-                    )
-                    .map_err(recovery_stop)?
+            let ordering = &clustered.rep_ordering;
+            Some(match (cfg.recovery, &clustered.space) {
+                (Recovery::Bubbles, Some(space)) => {
+                    expand_bubbles_supervised(ordering, &members, space, cfg.optics.min_pts, sup)
+                        .map_err(recovery_stop)?
                 }
-                Recovery::Naive => unreachable!(),
+                (Recovery::Bubbles, None) => {
+                    return Err(PipelineError::Internal("bubble space missing for bubble recovery"))
+                }
+                _ => expand_weighted_supervised(ordering, &members, sup).map_err(recovery_stop)?,
             })
         }
     };
     drop(span_recovery);
-    let recovery = t2.elapsed();
+    Ok((expanded, t2.elapsed()))
+}
 
-    Ok(ClusterRecover { rep_ordering, expanded, clustering, recovery })
+/// Runs `body` as one recluster of a live compression's representatives
+/// and statistics: validated representatives, a supervisor armed from
+/// `cfg`, and a trace run of its own under a `pipeline.recluster` span.
+/// Returns the body's value with the run id.
+fn recluster_run<T>(
+    reps: &Dataset,
+    stats: &[Cf],
+    cfg: &PipelineConfig,
+    body: impl FnOnce(&Supervisor) -> Result<T, PipelineError>,
+) -> Result<(T, u64), PipelineError> {
+    if reps.is_empty() {
+        return Err(PipelineError::EmptyDataset);
+    }
+    // The absorb boundary validates every point, but re-check the
+    // representatives defensively, mirroring `run_pipeline`.
+    reps.validate()?;
+    let token = cfg.cancel.clone().unwrap_or_default();
+    let sup = Supervisor::new(token, cfg.budget.deadline);
+    let run_id = db_obs::RunId::next();
+    let _run = run_id.enter();
+    let _span = db_obs::span!("pipeline.recluster");
+    db_obs::counter!("pipeline.reclusters").incr();
+    db_obs::trace_instant!(
+        "pipeline.recluster.start",
+        "mass",
+        stats.iter().map(Cf::n).sum::<u64>()
+    );
+    Ok((body(&sup)?, run_id.get()))
 }
 
 /// Re-runs the clustering and recovery stages (steps 2–3) on a live
@@ -586,44 +618,36 @@ pub fn recluster_from_compression(
     inc: &IncrementalCompression,
     cfg: &PipelineConfig,
 ) -> Result<PipelineOutput, PipelineError> {
-    let reps = inc.representatives();
-    if reps.is_empty() {
-        return Err(PipelineError::EmptyDataset);
-    }
-    // The absorb boundary validates every point, but re-check the
-    // representatives defensively, mirroring `run_pipeline`.
-    reps.validate()?;
-    let token = cfg.cancel.clone().unwrap_or_default();
-    let sup = Supervisor::new(token, cfg.budget.deadline);
-    let run_id = db_obs::RunId::next();
-    let _run = run_id.enter();
-    let _span = db_obs::span!("pipeline.recluster");
-    db_obs::counter!("pipeline.reclusters").incr();
-    db_obs::trace_instant!("pipeline.recluster.start", "n_objects", inc.n_objects());
-
-    let cr = cluster_and_recover(reps, inc.stats(), Some(inc.assignment()), cfg, &sup)?;
+    let (reps, stats) = (inc.representatives(), inc.stats());
+    let ((clustered, expanded, recovery), run_id) = recluster_run(reps, stats, cfg, |sup| {
+        let clustered = cluster_step(reps, stats, cfg, sup)?;
+        let (expanded, recovery) =
+            recover_step(&clustered, reps.len(), Some(inc.assignment()), cfg, sup)?;
+        Ok((clustered, expanded, recovery))
+    })?;
     Ok(PipelineOutput {
-        rep_ordering: cr.rep_ordering,
-        expanded: cr.expanded,
+        rep_ordering: clustered.rep_ordering,
+        expanded,
         n_representatives: reps.len(),
         timings: PipelineTimings {
             compression: Duration::ZERO,
-            clustering: cr.clustering,
-            recovery: cr.recovery,
+            clustering: clustered.elapsed,
+            recovery,
         },
-        run_id: run_id.get(),
+        run_id,
         degradations: Vec::new(),
     })
 }
 
-/// [`recluster_from_compression`] with the degradation ladder of
-/// [`run_pipeline_supervised`], minus the halve-`k` rung (the compression
-/// fixes `k`): on [`PipelineError::DeadlineExceeded`] the retry first
-/// disables the precomputed distance matrix, then drops to a single
-/// thread, each attempt under a fresh deadline. Cancellations and worker
-/// panics are never retried. The outcome is reported to
-/// [`db_obs::health`] exactly as for supervised pipeline runs — except
-/// for cancellations, which are a caller decision, not a service failure.
+/// [`recluster_from_compression`] under the recluster degradation ladder:
+/// on [`PipelineError::DeadlineExceeded`] the retry first disables the
+/// precomputed distance matrix, then drops to a single thread, each
+/// attempt under a fresh deadline (the halve-`k` rung of
+/// [`run_pipeline_supervised`] is absent: the compression fixes `k`).
+/// Cancellations and worker panics are never retried. The outcome is
+/// reported to [`db_obs::health`] exactly as for supervised pipeline runs
+/// — except for cancellations, which are a caller decision, not a service
+/// failure.
 ///
 /// # Errors
 ///
@@ -633,61 +657,170 @@ pub fn recluster_supervised(
     inc: &IncrementalCompression,
     cfg: &PipelineConfig,
 ) -> Result<PipelineOutput, PipelineError> {
-    let mut attempt = cfg.clone();
-    let mut degradations: Vec<Degradation> = Vec::new();
-    loop {
-        match recluster_from_compression(inc, &attempt) {
-            Ok(mut out) => {
-                out.degradations = degradations;
-                if out.degradations.is_empty() {
-                    db_obs::health::report_ok();
-                } else {
-                    db_obs::health::report_degraded(format!(
-                        "recluster degraded {} rung(s): {}",
-                        out.degradations.len(),
-                        out.degradations
-                            .iter()
-                            .map(|d| d.action.as_str())
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    ));
-                }
-                return Ok(out);
+    let (mut out, degradations) =
+        RECLUSTER_LADDER.run(cfg, |attempt| recluster_from_compression(inc, attempt))?;
+    out.degradations = degradations;
+    Ok(out)
+}
+
+/// The clustering step of [`recluster_supervised`] alone, for callers that
+/// serve the representatives' ordering and never read an expansion: OPTICS
+/// over the Data Bubbles of `stats` under the same degradation ladder and
+/// health reporting, with no recovery step — so its cost depends on the
+/// number of representatives only, never on the objects absorbed.
+///
+/// Returns the output (`expanded` is `None`, [`PipelineTimings::recovery`]
+/// is zero) together with the walked [`BubbleSpace`]. The space keeps the
+/// distance matrix the successful attempt built (if any), so a caller can
+/// read it instead of evaluating the k² distances again — e.g.
+/// [`crate::try_bubble_dendrogram`] with single linkage. `reps` are the
+/// representatives `stats` summarize; `cfg.recovery` is ignored (always
+/// Data Bubbles), as are `cfg.k` and `cfg.compressor`.
+///
+/// # Errors
+///
+/// As [`recluster_supervised`], minus the recovery phase.
+pub fn recluster_bubbles_supervised(
+    reps: &Dataset,
+    stats: &[Cf],
+    cfg: &PipelineConfig,
+) -> Result<(PipelineOutput, BubbleSpace), PipelineError> {
+    let cfg = PipelineConfig { recovery: Recovery::Bubbles, ..cfg.clone() };
+    let ((clustered, run_id), degradations) = RECLUSTER_LADDER.run(&cfg, |attempt| {
+        recluster_run(reps, stats, attempt, |sup| cluster_step(reps, stats, attempt, sup))
+    })?;
+    let space =
+        clustered.space.ok_or(PipelineError::Internal("bubble clustering returned no space"))?;
+    let out = PipelineOutput {
+        rep_ordering: clustered.rep_ordering,
+        expanded: None,
+        n_representatives: reps.len(),
+        timings: PipelineTimings {
+            compression: Duration::ZERO,
+            clustering: clustered.elapsed,
+            recovery: Duration::ZERO,
+        },
+        run_id,
+        degradations,
+    };
+    Ok((out, space))
+}
+
+/// One rung of a degradation ladder: the coarsening a retry applies.
+#[derive(Debug, Clone, Copy)]
+enum Rung {
+    /// Halve `k` (fewer representatives: quadratic savings in the
+    /// clustering phase, linear in classification).
+    HalveK,
+    /// Disable the precomputed distance matrix (`matrix_max_k = 0`:
+    /// bounded memory, on-the-fly distances).
+    NoMatrix,
+    /// Drop to a single worker thread (no spawn overhead on tiny budgets).
+    OneThread,
+}
+
+impl Rung {
+    /// Applies the coarsening to `cfg`; returns its description.
+    fn apply(self, cfg: &mut PipelineConfig) -> String {
+        match self {
+            Rung::HalveK => {
+                cfg.k = (cfg.k / 2).max(1);
+                format!("halved k to {}", cfg.k)
             }
-            Err(cause @ PipelineError::DeadlineExceeded { .. }) if degradations.len() < 2 => {
-                let action = match degradations.len() {
-                    0 => {
-                        attempt.matrix_max_k = 0;
-                        "disabled the distance matrix".to_string()
-                    }
-                    _ => {
-                        attempt.threads = NonZeroUsize::new(1);
-                        "dropped to a single thread".to_string()
-                    }
-                };
-                db_obs::counter!("pipeline.degradations").incr();
-                db_obs::trace_instant!("pipeline.degraded", "rung", degradations.len() + 1);
-                db_obs::log_warn!("recluster over budget ({cause}); retrying coarser: {action}");
-                degradations.push(Degradation { cause, action });
+            Rung::NoMatrix => {
+                cfg.matrix_max_k = 0;
+                "disabled the distance matrix".to_string()
             }
-            Err(e @ PipelineError::Cancelled { .. }) => {
-                // A superseded or withdrawn recluster is not a health
-                // event: the cache keeps serving and a newer run owns the
-                // health slot.
-                return Err(e);
-            }
-            Err(e) => {
-                db_obs::health::report_failing(e.to_string());
-                return Err(e);
+            Rung::OneThread => {
+                cfg.threads = NonZeroUsize::new(1);
+                "dropped to a single thread".to_string()
             }
         }
     }
 }
 
-/// Maximum number of degradation-ladder retries of
-/// [`run_pipeline_supervised`] (halve `k`; disable the distance matrix;
-/// drop to a single thread).
-const MAX_DEGRADATIONS: usize = 3;
+/// A degradation ladder: the rungs a run that overruns its deadline is
+/// retried with, applied cumulatively, each attempt under a fresh deadline
+/// of the same duration.
+struct Ladder {
+    /// What a run is called in health details and logs.
+    name: &'static str,
+    rungs: &'static [Rung],
+    /// Whether a cancelled run reports failing health.
+    cancel_fails_health: bool,
+}
+
+/// The ladder of [`run_pipeline_supervised`].
+const PIPELINE_LADDER: Ladder = Ladder {
+    name: "pipeline",
+    rungs: &[Rung::HalveK, Rung::NoMatrix, Rung::OneThread],
+    cancel_fails_health: true,
+};
+
+/// The ladder of [`recluster_supervised`] and
+/// [`recluster_bubbles_supervised`]: the compression fixes `k`, and a
+/// cancelled recluster is superseded, not failed.
+const RECLUSTER_LADDER: Ladder = Ladder {
+    name: "recluster",
+    rungs: &[Rung::NoMatrix, Rung::OneThread],
+    cancel_fails_health: false,
+};
+
+impl Ladder {
+    /// Runs `attempt` under the ladder: retries only
+    /// [`PipelineError::DeadlineExceeded`], one rung per retry, until the
+    /// rungs run out. Rungs taken are returned in order, counted under
+    /// `pipeline.degradations` and visible as `pipeline.degraded` trace
+    /// instants; the outcome is reported to [`db_obs::health`].
+    fn run<T>(
+        &self,
+        cfg: &PipelineConfig,
+        mut attempt: impl FnMut(&PipelineConfig) -> Result<T, PipelineError>,
+    ) -> Result<(T, Vec<Degradation>), PipelineError> {
+        let mut cfg = cfg.clone();
+        let mut degradations: Vec<Degradation> = Vec::new();
+        loop {
+            match attempt(&cfg) {
+                Ok(out) => {
+                    if degradations.is_empty() {
+                        db_obs::health::report_ok();
+                    } else {
+                        db_obs::health::report_degraded(format!(
+                            "{} degraded {} rung(s): {}",
+                            self.name,
+                            degradations.len(),
+                            degradations
+                                .iter()
+                                .map(|d| d.action.as_str())
+                                .collect::<Vec<_>>()
+                                .join("; ")
+                        ));
+                    }
+                    return Ok((out, degradations));
+                }
+                Err(cause @ PipelineError::DeadlineExceeded { .. })
+                    if degradations.len() < self.rungs.len() =>
+                {
+                    let action = self.rungs[degradations.len()].apply(&mut cfg);
+                    db_obs::counter!("pipeline.degradations").incr();
+                    db_obs::trace_instant!("pipeline.degraded", "rung", degradations.len() + 1);
+                    db_obs::log_warn!(
+                        "{} over budget ({cause}); retrying coarser: {action}",
+                        self.name
+                    );
+                    degradations.push(Degradation { cause, action });
+                }
+                Err(e @ PipelineError::Cancelled { .. }) if !self.cancel_fails_health => {
+                    return Err(e);
+                }
+                Err(e) => {
+                    db_obs::health::report_failing(e.to_string());
+                    return Err(e);
+                }
+            }
+        }
+    }
+}
 
 /// Runs a pipeline under its budget with BIRCH-style graceful degradation:
 /// when an attempt overruns [`RunBudget::deadline`], it is retried with a
@@ -716,55 +849,9 @@ pub fn run_pipeline_supervised(
     ds: &Dataset,
     cfg: &PipelineConfig,
 ) -> Result<PipelineOutput, PipelineError> {
-    let mut attempt = cfg.clone();
-    let mut degradations: Vec<Degradation> = Vec::new();
-    loop {
-        match run_pipeline(ds, &attempt) {
-            Ok(mut out) => {
-                out.degradations = degradations;
-                if out.degradations.is_empty() {
-                    db_obs::health::report_ok();
-                } else {
-                    db_obs::health::report_degraded(format!(
-                        "pipeline degraded {} rung(s): {}",
-                        out.degradations.len(),
-                        out.degradations
-                            .iter()
-                            .map(|d| d.action.as_str())
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    ));
-                }
-                return Ok(out);
-            }
-            Err(cause @ PipelineError::DeadlineExceeded { .. })
-                if degradations.len() < MAX_DEGRADATIONS =>
-            {
-                let action = match degradations.len() {
-                    0 => {
-                        attempt.k = (attempt.k / 2).max(1);
-                        format!("halved k to {}", attempt.k)
-                    }
-                    1 => {
-                        attempt.matrix_max_k = 0;
-                        "disabled the distance matrix".to_string()
-                    }
-                    _ => {
-                        attempt.threads = NonZeroUsize::new(1);
-                        "dropped to a single thread".to_string()
-                    }
-                };
-                db_obs::counter!("pipeline.degradations").incr();
-                db_obs::trace_instant!("pipeline.degraded", "rung", degradations.len() + 1);
-                db_obs::log_warn!("pipeline over budget ({cause}); retrying coarser: {action}");
-                degradations.push(Degradation { cause, action });
-            }
-            Err(e) => {
-                db_obs::health::report_failing(e.to_string());
-                return Err(e);
-            }
-        }
-    }
+    let (mut out, degradations) = PIPELINE_LADDER.run(cfg, |attempt| run_pipeline(ds, attempt))?;
+    out.degradations = degradations;
+    Ok(out)
 }
 
 /// Centroid dataset of a CF collection. Fallible: a compressor handed

@@ -8,7 +8,7 @@ use db_spatial::Neighbor;
 use db_supervise::{Stop, Supervisor};
 
 use crate::bubble::{BubbleError, DataBubble};
-use crate::distance::bubble_distance;
+use crate::distance::{bubble_distance, bubble_distance_from_parts};
 use crate::matrix::BubbleDistanceMatrix;
 
 /// A set of Data Bubbles viewed as an OPTICS object space.
@@ -133,6 +133,32 @@ impl BubbleSpace {
     /// Whether neighbourhood queries are matrix-backed.
     pub fn has_matrix(&self) -> bool {
         self.matrix.is_some()
+    }
+
+    /// Fills `row[j]` with the Definition 6 distance between bubbles `i`
+    /// and `j` for every `j > i` (other entries are left untouched): the
+    /// row tail [`db_hierarchical::slink_from_rows`] consumes. Served from
+    /// the precomputed matrix when present (no evaluation), evaluated on
+    /// the fly otherwise — bit-identical either way, and always with `i`
+    /// as the first operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is shorter than the number of bubbles.
+    pub(crate) fn distance_row_tail(&self, i: usize, row: &mut [f64]) {
+        let row = &mut row[..self.bubbles.len()];
+        if let Some(m) = &self.matrix {
+            m.row_tail_into(i, row);
+            return;
+        }
+        // `bubble_distance(b, c, false)` with b's parts hoisted out of the
+        // row: the same arithmetic in the same order, so the same bits.
+        let b = &self.bubbles[i];
+        let (extent_b, nn1_b) = (b.extent(), b.nndist(1));
+        for (slot, c) in row.iter_mut().zip(&self.bubbles).skip(i + 1) {
+            let center = db_spatial::euclidean(b.rep(), c.rep());
+            *slot = bubble_distance_from_parts(center, extent_b, c.extent(), nn1_b, c.nndist(1));
+        }
     }
 
     /// Definition 7 applied outside a walk: the core-distance of bubble `i`
@@ -394,6 +420,27 @@ mod tests {
                 with.neighborhood(i, eps, &mut a);
                 without.neighborhood(i, eps, &mut b);
                 assert_eq!(a, b, "i = {i}, eps = {eps}");
+            }
+        }
+    }
+
+    #[test]
+    fn distance_row_tail_is_bit_identical_with_and_without_matrix() {
+        let mut with = space_three_groups();
+        let without = space_three_groups();
+        assert!(with.precompute_matrix(None, usize::MAX));
+        for i in 0..3 {
+            let (mut a, mut b) = (vec![f64::NAN; 3], vec![f64::NAN; 3]);
+            with.distance_row_tail(i, &mut a);
+            without.distance_row_tail(i, &mut b);
+            for j in 0..3 {
+                if j <= i {
+                    assert!(a[j].is_nan() && b[j].is_nan(), "({i}, {j}) must stay untouched");
+                } else {
+                    assert_eq!(a[j].to_bits(), b[j].to_bits(), "({i}, {j})");
+                    let want = bubble_distance(with.bubble(i), with.bubble(j), false);
+                    assert_eq!(a[j].to_bits(), want.to_bits(), "({i}, {j})");
+                }
             }
         }
     }

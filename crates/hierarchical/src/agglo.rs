@@ -1,9 +1,12 @@
 //! Generic agglomerative hierarchical clustering with Lance–Williams
-//! distance updates (single / complete / average linkage).
+//! distance updates (single / complete / average / Ward linkage).
 //!
-//! O(n²) memory, O(n³) worst-case time — intended for the compressed
-//! object sets of the Data Bubbles pipelines (k ≲ a few thousand), where
-//! the paper notes an O(k²) algorithm "is acceptable" because k is small.
+//! O(n²) memory, O(n³) worst-case time. Single link has an O(n²)-time,
+//! O(n)-memory algorithm, [`crate::slink_from_rows`], and every production
+//! single-link path (the bubble dendrogram of `data-bubbles`, the
+//! service's labels) goes through it; here Single remains as the naive
+//! cross-check. Complete, Average and Ward have no such shortcut and run
+//! this loop.
 
 use db_spatial::Dataset;
 

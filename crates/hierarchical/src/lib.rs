@@ -1,10 +1,11 @@
 //! Classical clustering baselines referenced by the Data Bubbles paper:
 //!
 //! * [`slink`] — Sibson's optimally efficient O(n²) single-link algorithm
-//!   (reference \[9\] of the paper);
+//!   (reference \[9\] of the paper), also over caller-supplied distance
+//!   rows ([`slink_from_rows`]) so a precomputed matrix can feed it;
 //! * [`agglomerative`] — generic agglomerative clustering with
-//!   single/complete/average linkage (Lance–Williams updates), used to
-//!   cross-check SLINK and as the "classical hierarchical clustering
+//!   single/complete/average/Ward linkage (Lance–Williams updates), used
+//!   to cross-check SLINK and as the "classical hierarchical clustering
 //!   algorithm" Data Bubbles also supports (paper §6: "When applying a
 //!   classical hierarchical clustering algorithm such as the single link
 //!   method to Data Bubbles…");
@@ -25,4 +26,4 @@ mod slink;
 pub use agglo::{agglomerative, agglomerative_from_fn, Linkage};
 pub use dendrogram::{Dendrogram, Merge};
 pub use kmeans::{kmeans, weighted_kmeans, weighted_kmeans_cfs, KMeansParams, KMeansResult};
-pub use slink::{slink, slink_from_fn};
+pub use slink::{slink, slink_from_fn, slink_from_rows};

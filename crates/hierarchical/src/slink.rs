@@ -31,6 +31,29 @@ pub fn slink(ds: &Dataset) -> Dendrogram {
 ///
 /// Panics if `n == 0`.
 pub fn slink_from_fn(n: usize, dist: impl Fn(usize, usize) -> f64) -> Dendrogram {
+    slink_from_rows(n, |i, row| {
+        for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
+            *slot = dist(i, j);
+        }
+    })
+}
+
+/// SLINK over distance rows: `fill_row(i, row)` must set `row[j]` to the
+/// distance between objects `i` and `j` for every `j > i` (`row` has
+/// length `n`; entries `..= i` are scratch and never read). Each row is
+/// requested exactly once, so the caller can stream rows from a
+/// precomputed matrix or evaluate them on the fly: O(n²) time, O(n)
+/// memory either way.
+///
+/// Objects are inserted in descending id order, so the insertion of `i`
+/// needs only the distances to the objects after it — which is why a row
+/// tail suffices, and why every distance is evaluated as `(i, j)` with
+/// `i < j`, the operand order of [`crate::agglomerative_from_fn`].
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn slink_from_rows(n: usize, mut fill_row: impl FnMut(usize, &mut [f64])) -> Dendrogram {
     assert!(n >= 1, "SLINK requires at least one object");
     // Pointer representation: pi[i] = the "merge partner", lambda[i] = the
     // height at which object i merges into pi[i].
@@ -38,13 +61,12 @@ pub fn slink_from_fn(n: usize, dist: impl Fn(usize, usize) -> f64) -> Dendrogram
     let mut lambda = vec![f64::INFINITY; n];
     let mut m = vec![0.0f64; n];
 
-    for i in 0..n {
+    for i in (0..n).rev() {
         pi[i] = i;
         lambda[i] = f64::INFINITY;
-        for (j, mj) in m.iter_mut().enumerate().take(i) {
-            *mj = dist(j, i);
-        }
-        for j in 0..i {
+        fill_row(i, &mut m);
+        // Earlier insertions first: every pointer leads to a later one.
+        for j in ((i + 1)..n).rev() {
             if lambda[j] >= m[j] {
                 m[pi[j]] = m[pi[j]].min(lambda[j]);
                 lambda[j] = m[j];
@@ -53,7 +75,7 @@ pub fn slink_from_fn(n: usize, dist: impl Fn(usize, usize) -> f64) -> Dendrogram
                 m[pi[j]] = m[pi[j]].min(m[j]);
             }
         }
-        for j in 0..i {
+        for j in ((i + 1)..n).rev() {
             if lambda[j] >= lambda[pi[j]] {
                 pi[j] = i;
             }
@@ -64,15 +86,16 @@ pub fn slink_from_fn(n: usize, dist: impl Fn(usize, usize) -> f64) -> Dendrogram
 }
 
 /// Converts the pointer representation into a merge list: process objects
-/// by ascending `lambda`, each merging the current cluster of `i` with the
-/// current cluster of `pi[i]`.
+/// by ascending `lambda` (ties in insertion order, so object 0, inserted
+/// last with `lambda = ∞`, comes last), each merging the current cluster
+/// of `i` with the current cluster of `pi[i]`.
 fn pointer_to_dendrogram(pi: &[usize], lambda: &[f64]) -> Dendrogram {
     let n = pi.len();
     if n == 1 {
         return Dendrogram::new(1, vec![]);
     }
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| lambda[a].total_cmp(&lambda[b]).then(a.cmp(&b)));
+    order.sort_by(|&a, &b| lambda[a].total_cmp(&lambda[b]).then(b.cmp(&a)));
 
     // Union-find tracking the dendrogram node currently representing the
     // set of each object.

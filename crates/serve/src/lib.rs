@@ -12,11 +12,16 @@
 //!   ([`IncrementalCompression::try_absorb_all`]) — a NaN point is a typed
 //!   rejection, never a corrupted representative;
 //! * queries are answered from a cached [`Artifact`] (cluster ordering +
-//!   bubble dendrogram labels) via one NN lookup, never blocking on a
+//!   single-link bubble labels) via one NN lookup, never blocking on a
 //!   recluster;
 //! * the artifact is recomputed lazily on a background thread when
 //!   staleness triggers fire (absorbed-object count, fraction of mass
-//!   absorbed since the last build), under a [`RunBudget`] +
+//!   absorbed since the last build). A rebuild's cost depends on the k
+//!   representatives, never on the n objects absorbed: it snapshots only
+//!   the representatives and their statistics (O(k) under the ingest
+//!   lock), runs only the bubble-OPTICS clustering step (no expansion of
+//!   the absorbed objects), and cuts single-link labels in O(k²) from the
+//!   distance matrix that step built. It runs under a [`RunBudget`] +
 //!   [`CancelToken`] from `db-supervise`; a forced recluster cancels the
 //!   in-flight one (typed [`PipelineError::Cancelled`], not a panic).
 //!

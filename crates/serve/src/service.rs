@@ -7,9 +7,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use data_bubbles::pipeline::{
-    recluster_supervised, Compressor, PipelineConfig, PipelineError, PipelineOutput, Recovery,
+    recluster_bubbles_supervised, Compressor, PipelineConfig, PipelineError, PipelineOutput,
+    Recovery,
 };
-use data_bubbles::{try_bubble_dendrogram, BubbleSpace, DataBubble, DEFAULT_MAX_MATRIX_K};
+use data_bubbles::{try_bubble_dendrogram, DEFAULT_MAX_MATRIX_K};
+use db_birch::Cf;
 use db_hierarchical::Linkage;
 use db_optics::OpticsParams;
 use db_sampling::IncrementalCompression;
@@ -24,18 +26,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Configuration of a [`BubbleService`].
+/// Configuration of a [`BubbleService`]. The service always serves the
+/// paper's Fig. 2 method: the OPTICS ordering of the Data Bubbles
+/// (`GET /ordering`) and single-link labels over the same bubbles
+/// (`GET /label`).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// OPTICS parameters for the recluster (see
     /// [`PipelineConfig::optics`]).
     pub optics: OpticsParams,
-    /// Recovery method of the recluster ([`Recovery::Bubbles`] by
-    /// default).
-    pub recovery: Recovery,
-    /// Linkage of the bubble dendrogram behind `GET /label`.
-    pub linkage: Linkage,
-    /// Height at which the bubble dendrogram is cut into the
+    /// Height at which the single-link bubble dendrogram is cut into the
     /// per-representative labels served by `GET /label`.
     pub label_cut: f64,
     /// Staleness trigger: rebuild once this many objects were absorbed
@@ -46,7 +46,7 @@ pub struct ServiceConfig {
     /// from (`0.2` = a fifth of the database is new).
     pub max_mass_fraction: f64,
     /// Resource envelope of every recluster (deadline ⇒ the degradation
-    /// ladder of [`recluster_supervised`] kicks in).
+    /// ladder of [`recluster_bubbles_supervised`] kicks in).
     pub budget: RunBudget,
     /// Worker threads for the recluster hot paths (`None` = available
     /// parallelism; the output is thread-count invariant).
@@ -62,8 +62,6 @@ impl ServiceConfig {
     pub fn new(optics: OpticsParams, label_cut: f64) -> Self {
         Self {
             optics,
-            recovery: Recovery::Bubbles,
-            linkage: Linkage::Single,
             label_cut,
             max_absorbed: 512,
             max_mass_fraction: 0.2,
@@ -73,16 +71,13 @@ impl ServiceConfig {
         }
     }
 
-    /// The [`PipelineConfig`] a recluster of `inc` runs under. `k` and
-    /// the compressor are placeholders — [`recluster_supervised`] ignores
-    /// both (the compression fixes them).
-    fn pipeline_config(&self, inc: &IncrementalCompression) -> PipelineConfig {
-        let mut cfg = PipelineConfig::new(
-            inc.k(),
-            Compressor::Sample { seed: 0 },
-            self.recovery,
-            self.optics,
-        );
+    /// The [`PipelineConfig`] a recluster of `k` representatives runs
+    /// under. `k` and the compressor are placeholders —
+    /// [`recluster_bubbles_supervised`] ignores both (the compression fixes
+    /// them).
+    fn pipeline_config(&self, k: usize) -> PipelineConfig {
+        let mut cfg =
+            PipelineConfig::new(k, Compressor::Sample { seed: 0 }, Recovery::Bubbles, self.optics);
         cfg.threads = self.threads;
         cfg.matrix_max_k = self.matrix_max_k;
         cfg.budget = self.budget;
@@ -97,11 +92,11 @@ impl ServiceConfig {
 pub struct Artifact {
     /// Monotonic build number (0 = the synchronous build at startup).
     pub generation: u64,
-    /// The recluster output: ordering over the representatives plus the
-    /// expanded ordering (for the non-naive recoveries).
+    /// The recluster output: the OPTICS ordering over the
+    /// representatives. No recovery step runs, so `expanded` is `None`.
     pub output: PipelineOutput,
-    /// Per-representative cluster label from cutting the bubble
-    /// dendrogram at [`ServiceConfig::label_cut`].
+    /// Per-representative cluster label from cutting the single-link
+    /// bubble dendrogram at [`ServiceConfig::label_cut`].
     pub rep_labels: Vec<i32>,
     /// Objects the compression had absorbed when this was built.
     pub n_objects: usize,
@@ -199,31 +194,61 @@ pub struct ServiceStats {
     pub recluster_in_flight: bool,
 }
 
+/// What a recluster reads of the live compression: the representatives,
+/// their statistics and the counts — O(k) to copy, whatever the number of
+/// objects absorbed (the per-object assignment stays behind).
+struct Snapshot {
+    reps: Dataset,
+    stats: Vec<Cf>,
+    n_objects: usize,
+    total_mass: u64,
+}
+
+impl Snapshot {
+    fn of(live: &IncrementalCompression) -> Self {
+        Snapshot {
+            reps: live.representatives().clone(),
+            stats: live.stats().to_vec(),
+            n_objects: live.n_objects(),
+            total_mass: live.total_mass(),
+        }
+    }
+}
+
+/// Refreshes the staleness gauges of the artifact now serving: its age
+/// (`serve.cache.age_ms`) and the objects absorbed since it was built
+/// (`serve.cache.absorbed_since_build`). Called at every ingest and
+/// install, so a `/metrics` scraper sees them move without a `/stats`
+/// call.
+fn publish_staleness(art: &Artifact, n_objects: usize) {
+    db_obs::gauge!("serve.cache.age_ms").set(art.built_at.elapsed().as_millis() as i64);
+    db_obs::gauge!("serve.cache.absorbed_since_build")
+        .set(n_objects.saturating_sub(art.n_objects) as i64);
+}
+
 /// Builds an [`Artifact`] (generation filled in by the caller) from a
-/// compression snapshot: supervised recluster + bubble-dendrogram labels.
+/// snapshot: the supervised clustering step, then single-link labels cut
+/// from the bubble space it walked — reading its distance matrix when the
+/// step built one. The space, matrix included, is dropped here.
 fn build_artifact(
-    snapshot: &IncrementalCompression,
+    snapshot: Snapshot,
     cfg: &ServiceConfig,
     cancel: Option<CancelToken>,
 ) -> Result<Artifact, PipelineError> {
-    let mut pcfg = cfg.pipeline_config(snapshot);
+    let mut pcfg = cfg.pipeline_config(snapshot.reps.len());
     pcfg.cancel = cancel;
-    let output = recluster_supervised(snapshot, &pcfg)?;
-    let bubbles: Vec<DataBubble> =
-        snapshot.stats().iter().map(DataBubble::try_from_cf).collect::<Result<_, _>>()?;
-    let space = BubbleSpace::try_new(bubbles)?;
-    let dendrogram = try_bubble_dendrogram(&space, cfg.linkage)?;
-    let rep_labels = dendrogram.cut_at_distance(cfg.label_cut);
-    let reps = snapshot.representatives().clone();
-    let index = auto_index(&reps, None);
+    let (output, space) = recluster_bubbles_supervised(&snapshot.reps, &snapshot.stats, &pcfg)?;
+    let rep_labels = try_bubble_dendrogram(&space, Linkage::Single)?.cut_at_distance(cfg.label_cut);
+    drop(space);
+    let index = auto_index(&snapshot.reps, None);
     Ok(Artifact {
         generation: 0,
         output,
         rep_labels,
-        n_objects: snapshot.n_objects(),
-        total_mass: snapshot.total_mass(),
+        n_objects: snapshot.n_objects,
+        total_mass: snapshot.total_mass,
         built_at: Instant::now(),
-        reps,
+        reps: snapshot.reps,
         index,
     })
 }
@@ -265,7 +290,8 @@ impl BubbleService {
     ///
     /// Any [`PipelineError`] of the initial recluster.
     pub fn new(initial: IncrementalCompression, cfg: ServiceConfig) -> Result<Self, PipelineError> {
-        let artifact = build_artifact(&initial, &cfg, None)?;
+        let artifact = build_artifact(Snapshot::of(&initial), &cfg, None)?;
+        publish_staleness(&artifact, initial.n_objects());
         let shared = Arc::new(Shared {
             cfg,
             live: Mutex::new(initial),
@@ -313,6 +339,7 @@ impl BubbleService {
         db_obs::counter!("serve.ingest.batches").incr();
         let stale = {
             let art = self.artifact();
+            publish_staleness(&art, n_objects);
             self.is_stale(&art, n_objects, total_mass)
         };
         let recluster_started = if stale { self.spawn_recluster(false) } else { None };
@@ -350,7 +377,7 @@ impl BubbleService {
             let slot = lock(&self.shared.recluster);
             slot.worker.as_ref().is_some_and(|w| !w.is_finished())
         };
-        db_obs::gauge!("serve.cache.age_ms").set(art.built_at.elapsed().as_millis() as i64);
+        publish_staleness(&art, n_objects);
         ServiceStats {
             k,
             n_objects,
@@ -393,7 +420,7 @@ impl BubbleService {
         slot.next_generation += 1;
         let token = CancelToken::new();
         slot.cancel = Some(token.clone());
-        let snapshot = lock(&self.shared.live).clone();
+        let snapshot = Snapshot::of(&lock(&self.shared.live));
         let shared = Arc::clone(&self.shared);
         let worker = std::thread::Builder::new()
             .name(format!("serve-recluster-{generation}"))
@@ -444,22 +471,19 @@ impl Drop for BubbleService {
     }
 }
 
-fn recluster_worker(
-    shared: &Arc<Shared>,
-    snapshot: IncrementalCompression,
-    generation: u64,
-    token: CancelToken,
-) {
+fn recluster_worker(shared: &Arc<Shared>, snapshot: Snapshot, generation: u64, token: CancelToken) {
     let _span = db_obs::span!("serve.recluster");
     let started = Instant::now();
-    match build_artifact(&snapshot, &shared.cfg, Some(token)) {
+    match build_artifact(snapshot, &shared.cfg, Some(token)) {
         Ok(mut artifact) => {
             artifact.generation = generation;
             db_obs::histogram!("serve.recluster.latency_ms", [1.0, 10.0, 100.0, 1000.0, 10000.0])
                 .record(started.elapsed().as_secs_f64() * 1e3);
+            let n_objects = lock(&shared.live).n_objects();
             let mut cache = lock(&shared.cache);
             if cache.generation < generation {
                 *cache = Arc::new(artifact);
+                publish_staleness(&cache, n_objects);
                 db_obs::counter!("serve.recluster.completed").incr();
                 db_obs::trace_instant!("serve.recluster.installed", "generation", generation);
             } else {
@@ -474,7 +498,7 @@ fn recluster_worker(
             db_obs::counter!("serve.recluster.cancelled").incr();
         }
         Err(e) => {
-            // `recluster_supervised` already reported health; keep the
+            // `recluster_bubbles_supervised` already reported health; keep the
             // previous artifact serving.
             db_obs::counter!("serve.recluster.failed").incr();
             db_obs::log_warn!("background recluster generation {generation} failed: {e}");

@@ -13,12 +13,13 @@ use db_serve::{BubbleService, ServeServer, ServiceConfig};
 use db_spatial::Dataset;
 use db_supervise::fault;
 
-/// The fault spec is process-global; tests that install one serialize
-/// here (and on the health registry, which reclusters also touch).
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
+/// The fault spec, the health registry and the staleness gauges are
+/// process-global; every test that installs a fault or builds a service
+/// (which sets the gauges at start, ingest and install) serializes here.
+static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
-fn fault_guard() -> MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn global_guard() -> MutexGuard<'static, ()> {
+    GLOBAL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn blobs(n: usize, seed: u64) -> Dataset {
@@ -75,6 +76,7 @@ fn ingest_body(points: &[&[f64]]) -> String {
 /// to absorbing the stream directly, without HTTP in the way.
 #[test]
 fn http_ingest_is_bit_identical_across_batch_splits() {
+    let _g = global_guard();
     let stream_points = blobs(90, 7);
 
     // Reference: direct, one atomic absorb_all.
@@ -106,7 +108,7 @@ fn http_ingest_is_bit_identical_across_batch_splits() {
 /// and stats queries answer promptly from the previous artifact.
 #[test]
 fn queries_answer_from_cache_while_recluster_is_in_flight() {
-    let _g = fault_guard();
+    let _g = global_guard();
     let svc = Arc::new(service(13));
     let before = svc.artifact().generation;
 
@@ -138,7 +140,7 @@ fn queries_answer_from_cache_while_recluster_is_in_flight() {
 /// previous artifact untouched until the newer run installs).
 #[test]
 fn forced_recluster_cancels_the_inflight_one() {
-    let _g = fault_guard();
+    let _g = global_guard();
     let svc = Arc::new(service(99));
 
     fault::set_spec(Some("clustering:delay:400"));
@@ -160,6 +162,7 @@ fn forced_recluster_cancels_the_inflight_one() {
 /// recluster; the receipt reports it and the artifact advances.
 #[test]
 fn staleness_triggers_start_a_background_recluster() {
+    let _g = global_guard();
     let base = blobs(400, 3);
     let compressed = compress_by_sampling(&base, 24, 3).expect("compress");
     let live = IncrementalCompression::from_sample(&compressed);
@@ -178,6 +181,7 @@ fn staleness_triggers_start_a_background_recluster() {
 
 #[test]
 fn http_validation_boundary() {
+    let _g = global_guard();
     let svc = Arc::new(service(21));
     let mut server = ServeServer::start("127.0.0.1:0", Arc::clone(&svc)).expect("bind");
     let addr = server.addr();
@@ -229,5 +233,46 @@ fn http_validation_boundary() {
     let (status, _) = get(addr, "/nope");
     assert_eq!(status, 404);
 
+    server.shutdown();
+}
+
+/// The value of an unlabelled Prometheus sample `name` in a `/metrics`
+/// body.
+fn metric(body: &str, name: &str) -> Option<f64> {
+    body.lines()
+        .filter_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .find_map(|v| v.trim().parse().ok())
+}
+
+/// The staleness gauges move at ingest, not only when someone calls
+/// `/stats`: two `/metrics` scrapes with an ingest between them, and no
+/// `/stats` call anywhere, see the cache age advance and the absorbed
+/// count grow.
+#[test]
+fn metrics_scrapes_see_the_cache_age_advance_without_stats() {
+    let _g = global_guard();
+    let svc = Arc::new(service(5));
+    let mut server = ServeServer::start("127.0.0.1:0", Arc::clone(&svc)).expect("bind");
+    let addr = server.addr();
+    let scrape = |ingest: &[&[f64]]| {
+        let (status, body) = post(addr, "/ingest", &ingest_body(ingest));
+        assert_eq!(status, 200, "{body}");
+        let (status, body) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        let age = metric(&body, "serve_cache_age_ms").expect("age gauge exported");
+        let absorbed =
+            metric(&body, "serve_cache_absorbed_since_build").expect("absorbed gauge exported");
+        (age, absorbed)
+    };
+
+    std::thread::sleep(Duration::from_millis(20));
+    let (age1, absorbed1) = scrape(&[&[0.5, 0.5]]);
+    std::thread::sleep(Duration::from_millis(60));
+    let (age2, absorbed2) = scrape(&[&[0.5, 0.5], &[0.25, 0.5]]);
+
+    assert!(age1 >= 20.0, "first scrape age {age1} ms");
+    assert!(age2 >= age1 + 60.0, "age did not advance: {age1} ms then {age2} ms");
+    assert_eq!((absorbed1, absorbed2), (1.0, 3.0));
+    assert_eq!(svc.artifact().generation, 0, "no recluster may reset the age in between");
     server.shutdown();
 }

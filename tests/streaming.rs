@@ -10,6 +10,8 @@ use std::time::Duration;
 use data_bubbles::pipeline::{
     recluster_from_compression, run_pipeline, Compressor, PipelineConfig, Recovery,
 };
+use data_bubbles::{try_bubble_dendrogram, BubbleSpace, DataBubble};
+use db_hierarchical::Linkage;
 use db_optics::OpticsParams;
 use db_sampling::{
     accumulate_stats, compress_by_sampling, nn_classify, CompressedSample, IncrementalCompression,
@@ -130,8 +132,10 @@ fn post_absorb_recluster_equals_equivalent_batch_compression() {
 }
 
 /// The service's background recluster computes exactly what a direct
-/// `recluster_from_compression` of the same compression computes — HTTP,
-/// caching and threading change nothing about the output.
+/// `recluster_from_compression` of the same compression computes, minus
+/// the expansion nobody reads — HTTP, caching and threading change
+/// nothing about the ordering, and the served labels are the single-link
+/// cut of the same bubbles.
 #[test]
 fn service_recluster_matches_direct_recluster() {
     let base = blobs(300, 7);
@@ -155,6 +159,15 @@ fn service_recluster_matches_direct_recluster() {
     let direct = recluster_from_compression(&reference, &pipeline_cfg(SEED)).expect("recluster");
 
     assert_eq!(artifact.output.rep_ordering, direct.rep_ordering);
-    assert_eq!(artifact.output.expanded, direct.expanded);
+    assert!(artifact.output.expanded.is_none(), "the service runs no recovery step");
+    let bubbles: Vec<DataBubble> = reference
+        .stats()
+        .iter()
+        .map(DataBubble::try_from_cf)
+        .collect::<Result<_, _>>()
+        .expect("bubbles");
+    let space = BubbleSpace::try_new(bubbles).expect("space");
+    let labels = try_bubble_dendrogram(&space, Linkage::Single).expect("dendrogram");
+    assert_eq!(artifact.rep_labels, labels.cut_at_distance(4.0));
     svc.shutdown();
 }
