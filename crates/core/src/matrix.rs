@@ -1,49 +1,49 @@
 //! [`BubbleDistanceMatrix`]: the symmetric k×k bubble-distance matrix,
-//! computed once (in parallel row blocks) and served as sorted rows.
+//! computed once (in parallel row blocks) and served as id-ordered rows.
 //!
 //! The OPTICS walk over bubbles asks for the ε-neighbourhood of every
 //! bubble at least once, and sub-MinPts expansion may ask for unbounded
-//! neighbourhoods again — each query an exhaustive O(k) scan plus an
-//! O(k log k) sort. [`crate::bubble_distance`] is exactly symmetric in IEEE
-//! floats ((x−y)² == (y−x)², commutative additions, `max`), so the whole
-//! matrix can be evaluated once up front; every later query is then a
-//! binary search for the ε prefix of a pre-sorted row.
+//! core-distances again — each query an exhaustive O(k) scan.
+//! [`crate::bubble_distance`] is exactly symmetric in IEEE floats
+//! ((x−y)² == (y−x)², commutative additions, `max`), so the whole matrix
+//! can be evaluated once up front; every later query is then an O(k)
+//! filter over a stored row, with no distance evaluation.
+//!
+//! Rows are stored in id order (`dists[i * k + j] = dist(i, j)`) and never
+//! sorted: a neighbourhood may come in any order
+//! ([`db_optics::OpticsSpace::neighborhood`]), so the build costs the
+//! paper's O(k²) evaluations and nothing on top.
 //!
 //! # Determinism contract
 //!
 //! Rows are independent: each worker thread fills a pre-assigned
-//! contiguous block of rows, and the per-row content (distances and the
-//! `(dist, id)` sort) never depends on the thread layout. The build is
-//! therefore bit-for-bit identical for every thread count, and a
-//! matrix-served neighbourhood is bit-for-bit identical to the on-the-fly
-//! scan in [`crate::BubbleSpace`] (same distances, same comparator, and
-//! the ε filter `d <= eps` selects exactly the sorted row's prefix).
+//! contiguous block of rows, and a row's content never depends on the
+//! thread layout. The build is therefore bit-for-bit identical for every
+//! thread count, and a matrix-served neighbourhood is bit-for-bit
+//! identical to the on-the-fly scan in [`crate::BubbleSpace`] (same
+//! distances, same id order, same `d <= eps` filter).
 
 use std::num::NonZeroUsize;
 
-use db_spatial::{id_u32, Neighbor};
+use db_spatial::Neighbor;
 use db_supervise::{catch_shared, fault, first_stop, panic_message, Stop, Supervisor};
 
 use crate::bubble::DataBubble;
 use crate::distance::bubble_distance_from_parts;
 
 /// Default cap on the number of bubbles for which the matrix is
-/// precomputed. A row costs 12 bytes per entry (`u32` id + `f64`
-/// distance), so the cap bounds the matrix at ~3 GiB; the paper's
+/// precomputed. A cell costs 8 bytes (one `f64` distance), so the cap
+/// bounds the matrix at ~2 GiB; the paper's
 /// operating point is k ≤ a few thousand (§8: "the purpose of our
 /// approach is to make k very small"), far below it. Above the cap the
 /// space falls back to on-the-fly evaluation with identical results.
 pub const DEFAULT_MAX_MATRIX_K: usize = 16_384;
 
-/// A precomputed symmetric bubble-distance matrix with each row sorted
-/// ascending by `(distance, id)` — the neighbourhood order of
-/// [`crate::BubbleSpace`].
+/// A precomputed symmetric bubble-distance matrix with rows in id order.
 #[derive(Debug, Clone)]
 pub struct BubbleDistanceMatrix {
     k: usize,
-    /// Row-major bubble ids, row `i` sorted by `(dists[i][j], id)`.
-    ids: Vec<u32>,
-    /// Row-major distances, each row ascending.
+    /// Row-major distances: `dists[i * k + j] = dist(i, j)`.
     dists: Vec<f64>,
 }
 
@@ -65,7 +65,7 @@ impl BubbleDistanceMatrix {
     }
 
     /// [`BubbleDistanceMatrix::build`] under supervision: the supervisor is
-    /// consulted before every row (a row is O(k log k), so the reaction
+    /// consulted before every row (a row is O(k), so the reaction
     /// latency stays tiny against the 50ms target) and worker panics are
     /// captured. On `Err` the whole matrix is discarded; on `Ok` the
     /// result is bit-for-bit the unsupervised one.
@@ -107,54 +107,31 @@ impl BubbleDistanceMatrix {
         let reps_flat = &reps_flat;
         let (extents, nn1) = (&extents, &nn1);
 
-        let mut ids = vec![0u32; cells];
         let mut dists = vec![0f64; cells];
-        // `scratch` holds one row of squared center distances; each worker
-        // brings its own so rows stay independent.
-        let fill_row = |i: usize,
-                        id_row: &mut [u32],
-                        dist_row: &mut [f64],
-                        scratch: &mut Vec<f64>| {
-            scratch.resize(k, 0.0);
-            db_spatial::dists_to_block(&reps_flat[i * dim..(i + 1) * dim], reps_flat, dim, scratch);
+        // Each row is written in place: the center-distance kernel fills
+        // it with squared distances, then Definition 6 overwrites every
+        // cell with the bubble distance. Rows are independent.
+        let fill_row = |i: usize, row: &mut [f64]| {
+            db_spatial::dists_to_block(&reps_flat[i * dim..(i + 1) * dim], reps_flat, dim, row);
             let (e_i, n_i) = (extents[i], nn1[i]);
-            let mut row: Vec<(f64, u32)> = scratch
-                .iter()
-                .enumerate()
-                // Lossless: `j < k` and the compressors cap k at the
-                // dataset length, which `Dataset` bounds by `u32` ids.
-                .map(|(j, &d2)| {
-                    let d = if i == j {
-                        0.0
-                    } else {
-                        // `d2.sqrt()` is bit-identical to the scalar path's
-                        // `euclidean(rep_i, rep_j)` (shared kernel).
-                        // db-audit: allow(no-naked-sqrt) -- flush site: Def. 10 bubble
-                        // distance is defined in true space; one conversion per matrix
-                        // entry, counted by the kernel's sqrt accounting.
-                        bubble_distance_from_parts(d2.sqrt(), e_i, extents[j], n_i, nn1[j])
-                    };
-                    (d, id_u32(j))
-                })
-                .collect();
-            // Same comparator as the on-the-fly neighbourhood sort.
-            row.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (slot, (d, j)) in id_row.iter_mut().zip(dist_row.iter_mut()).zip(row) {
-                *slot.0 = j;
-                *slot.1 = d;
+            for (j, d) in row.iter_mut().enumerate() {
+                *d = if i == j {
+                    0.0
+                } else {
+                    // `d.sqrt()` is bit-identical to the scalar path's
+                    // `euclidean(rep_i, rep_j)` (shared kernel).
+                    // db-audit: allow(no-naked-sqrt) -- flush site: Def. 10 bubble
+                    // distance is defined in true space; one conversion per matrix
+                    // entry, counted by the kernel's sqrt accounting.
+                    bubble_distance_from_parts(d.sqrt(), e_i, extents[j], n_i, nn1[j])
+                };
             }
         };
 
         if threads <= 1 {
-            let mut scratch = Vec::new();
-            for i in 0..k {
+            for (i, row) in dists.chunks_mut(k).enumerate() {
                 sup.check()?;
-                fill_row(
-                    i,
-                    &mut ids[i * k..(i + 1) * k],
-                    &mut dists[i * k..(i + 1) * k],
-                    &mut scratch,
-                );
+                fill_row(i, row);
             }
         } else {
             // Contiguous row blocks per thread; rows are independent, so
@@ -167,28 +144,19 @@ impl BubbleDistanceMatrix {
             let fill_row = &fill_row;
             let mut results: Vec<Result<(), Stop>> = Vec::with_capacity(threads);
             std::thread::scope(|scope| {
-                let id_blocks = ids.chunks_mut(rows_per_thread * k);
-                let dist_blocks = dists.chunks_mut(rows_per_thread * k);
-                let handles: Vec<_> = id_blocks
-                    .zip(dist_blocks)
+                let handles: Vec<_> = dists
+                    .chunks_mut(rows_per_thread * k)
                     .enumerate()
-                    .map(|(t, (id_block, dist_block))| {
+                    .map(|(t, block)| {
                         let parent = &parent;
                         scope.spawn(move || {
                             catch_shared(|| {
                                 let _s = db_obs::span_linked!("optics.matrix_fill", parent);
                                 fault::inject("matrix.worker", sup.token());
                                 let first = t * rows_per_thread;
-                                let rows = id_block.len() / k;
-                                let mut scratch = Vec::new();
-                                for r in 0..rows {
+                                for (r, row) in block.chunks_mut(k).enumerate() {
                                     sup.check()?;
-                                    fill_row(
-                                        first + r,
-                                        &mut id_block[r * k..(r + 1) * k],
-                                        &mut dist_block[r * k..(r + 1) * k],
-                                        &mut scratch,
-                                    );
+                                    fill_row(first + r, row);
                                 }
                                 Ok(())
                             })
@@ -206,7 +174,7 @@ impl BubbleDistanceMatrix {
         // One evaluation per (row, column) pair — the same count the
         // replaced exhaustive scans would have reported.
         db_obs::counter!("optics.distance_calls").add(cells as u64);
-        Ok(Self { k, ids, dists })
+        Ok(Self { k, dists })
     }
 
     /// Number of bubbles (the matrix is `k × k`).
@@ -214,40 +182,34 @@ impl BubbleDistanceMatrix {
         self.k
     }
 
-    /// Row `i` as parallel `(ids, distances)` slices, sorted ascending by
-    /// `(distance, id)`; entry 0 is the bubble itself at distance 0.
-    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        let lo = i * self.k;
-        let hi = lo + self.k;
-        (&self.ids[lo..hi], &self.dists[lo..hi])
+    /// Row `i` in id order: `row(i)[j] = dist(i, j)`, zero on the
+    /// diagonal.
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.dists[i * self.k..(i + 1) * self.k]
     }
 
-    /// Scatters the tail of row `i` back into id order: `out[j] =
-    /// dist(i, j)` for every `j > i`; other entries are left untouched.
-    /// One O(k) pass over the sorted row, no distance evaluation.
+    /// Copies the tail of row `i` into `out`: `out[j] = dist(i, j)` for
+    /// every `j > i`; other entries are left untouched. No distance
+    /// evaluation.
     pub(crate) fn row_tail_into(&self, i: usize, out: &mut [f64]) {
-        let (ids, dists) = self.row(i);
-        for (&j, &d) in ids.iter().zip(dists) {
-            let j = j as usize;
-            if j > i {
-                out[j] = d;
-            }
-        }
+        out[i + 1..self.k].copy_from_slice(&self.row(i)[i + 1..]);
     }
 
-    /// Appends the ε-neighbourhood of bubble `i` to `out`, identical to
-    /// the exhaustive scan-and-sort (the row prefix with `d <= eps`).
+    /// Appends the ε-neighbourhood of bubble `i` to `out` in id order:
+    /// every `j` with `dist(i, j) <= eps`, the on-the-fly scan's filter.
     pub fn neighborhood_into(&self, i: usize, eps: f64, out: &mut Vec<Neighbor>) {
-        let (ids, dists) = self.row(i);
-        let end = dists.partition_point(|&d| d <= eps);
         out.extend(
-            ids[..end].iter().zip(&dists[..end]).map(|(&id, &d)| Neighbor::new(id as usize, d)),
+            self.row(i)
+                .iter()
+                .enumerate()
+                .filter(|&(_, &d)| d <= eps)
+                .map(|(j, &d)| Neighbor::new(j, d)),
         );
     }
 
-    /// Matrix memory footprint in bytes.
+    /// Matrix memory footprint in bytes (8 per cell).
     pub fn memory_bytes(&self) -> usize {
-        self.ids.len() * std::mem::size_of::<u32>() + self.dists.len() * std::mem::size_of::<f64>()
+        self.dists.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -279,62 +241,59 @@ mod tests {
     #[test]
     fn build_is_thread_count_invariant() {
         let bs = bubbles(61);
-        let base = BubbleDistanceMatrix::build(&bs, NonZeroUsize::new(1));
+        let bits =
+            |m: &BubbleDistanceMatrix| m.dists.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let base = bits(&BubbleDistanceMatrix::build(&bs, NonZeroUsize::new(1)));
         for threads in [2usize, 3, 7, 64] {
             let m = BubbleDistanceMatrix::build(&bs, NonZeroUsize::new(threads));
-            assert_eq!(m.ids, base.ids, "threads = {threads}");
-            assert_eq!(m.dists, base.dists, "threads = {threads}");
+            assert_eq!(bits(&m), base, "threads = {threads}");
         }
-        let m = BubbleDistanceMatrix::build(&bs, None);
-        assert_eq!(m.ids, base.ids);
-        assert_eq!(m.dists, base.dists);
+        assert_eq!(bits(&BubbleDistanceMatrix::build(&bs, None)), base);
     }
 
     #[test]
-    fn rows_are_sorted_and_start_with_self() {
+    fn rows_are_id_ordered_symmetric_with_zero_diagonal() {
         let bs = bubbles(20);
         let m = BubbleDistanceMatrix::build(&bs, None);
         assert_eq!(m.k(), 20);
         for i in 0..20 {
-            let (ids, dists) = m.row(i);
-            assert_eq!(ids[0] as usize, i, "self is the closest entry");
-            assert_eq!(dists[0], 0.0);
-            assert!(dists.windows(2).all(|w| w[0] <= w[1]), "row {i} not sorted");
-            let mut seen: Vec<u32> = ids.to_vec();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..20).collect::<Vec<u32>>(), "row {i} not a permutation");
-        }
-    }
-
-    #[test]
-    fn matrix_is_symmetric() {
-        let bs = bubbles(15);
-        let m = BubbleDistanceMatrix::build(&bs, None);
-        let lookup = |i: usize, j: usize| {
-            let (ids, dists) = m.row(i);
-            let pos = ids.iter().position(|&id| id as usize == j).unwrap();
-            dists[pos]
-        };
-        for i in 0..15 {
-            for j in 0..15 {
-                assert_eq!(lookup(i, j).to_bits(), lookup(j, i).to_bits(), "({i}, {j})");
+            let row = m.row(i);
+            assert_eq!(row.len(), 20, "row {i} has k entries");
+            assert_eq!(row[i].to_bits(), 0f64.to_bits(), "row {i}: zero diagonal");
+            for (j, &d) in row.iter().enumerate() {
+                assert_eq!(d.to_bits(), m.row(j)[i].to_bits(), "({i}, {j}) not symmetric");
+                let want = crate::bubble_distance(&bs[i], &bs[j], i == j);
+                assert_eq!(d.to_bits(), want.to_bits(), "({i}, {j}) not in id order");
             }
         }
     }
 
     #[test]
-    fn neighborhood_prefix_matches_filter() {
+    fn row_tail_copies_only_above_the_diagonal() {
+        let m = BubbleDistanceMatrix::build(&bubbles(9), None);
+        for i in 0..9 {
+            let mut out = vec![f64::NAN; 9];
+            m.row_tail_into(i, &mut out);
+            for (j, d) in out.iter().enumerate() {
+                if j <= i {
+                    assert!(d.is_nan(), "({i}, {j}) must stay untouched");
+                } else {
+                    assert_eq!(d.to_bits(), m.row(i)[j].to_bits(), "({i}, {j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn neighborhood_is_the_id_ordered_filter() {
         let bs = bubbles(30);
         let m = BubbleDistanceMatrix::build(&bs, None);
         for eps in [0.0, 1.0, 10.0, f64::INFINITY] {
             let mut out = Vec::new();
             m.neighborhood_into(3, eps, &mut out);
-            let (ids, dists) = m.row(3);
-            let expected: Vec<Neighbor> = ids
-                .iter()
-                .zip(dists)
-                .filter(|(_, &d)| d <= eps)
-                .map(|(&id, &d)| Neighbor::new(id as usize, d))
+            let expected: Vec<Neighbor> = (0..30)
+                .map(|j| Neighbor::new(j, m.row(3)[j]))
+                .filter(|nb| nb.dist <= eps)
                 .collect();
             assert_eq!(out, expected, "eps = {eps}");
         }
@@ -343,7 +302,7 @@ mod tests {
     #[test]
     fn memory_accounting() {
         let m = BubbleDistanceMatrix::build(&bubbles(8), None);
-        assert_eq!(m.memory_bytes(), 8 * 8 * 12);
+        assert_eq!(m.memory_bytes(), 8 * 8 * 8);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::num::NonZeroUsize;
 
 use db_optics::OpticsSpace;
+use db_spatial::order::DistId;
 use db_spatial::Neighbor;
 use db_supervise::{Stop, Supervisor};
 
@@ -20,13 +21,19 @@ use crate::matrix::BubbleDistanceMatrix;
 /// visits every bubble, the k² evaluations can equivalently be done once
 /// up front: [`BubbleSpace::precompute_matrix`] builds a
 /// [`BubbleDistanceMatrix`] (optionally in parallel) and every subsequent
-/// neighbourhood query becomes a binary search over a pre-sorted row —
-/// with bit-for-bit identical results.
+/// neighbourhood query becomes an O(k) filter over a stored row, with no
+/// distance evaluation and bit-for-bit identical results.
+///
+/// Neighbourhoods come in id order on both paths (the order
+/// [`OpticsSpace::neighborhood`] leaves to the space), so neither path
+/// sorts. Definition 7's sub-MinPts case, the one place that needs
+/// neighbours by distance, selects the closest ones instead.
 #[derive(Debug, Clone)]
 pub struct BubbleSpace {
     bubbles: Vec<DataBubble>,
     /// Total point count over all bubbles, cached so unbounded
-    /// core-distance queries need no neighbourhood scan in the common case.
+    /// core-distance queries need no neighbourhood scan in the common case
+    /// and a neighbourhood holding every bubble needs no weight sum.
     total_n: u64,
     matrix: Option<BubbleDistanceMatrix>,
 }
@@ -80,7 +87,7 @@ impl BubbleSpace {
 
     /// Precomputes the full distance matrix with `threads` workers
     /// (`None` = available parallelism) so neighbourhood and unbounded
-    /// core-distance queries are served from sorted rows. Skipped (returns
+    /// core-distance queries are served from stored rows. Skipped (returns
     /// `false`) when the space is empty or holds more than `max_k` bubbles
     /// — the on-the-fly path stays in place with identical results.
     pub fn precompute_matrix(&mut self, threads: Option<NonZeroUsize>, max_k: usize) -> bool {
@@ -112,9 +119,9 @@ impl BubbleSpace {
             return Ok(false);
         }
         if let Some(cap) = max_bytes {
-            // 12 bytes per cell: u32 id + f64 distance (see
+            // 8 bytes per cell: one f64 distance (see
             // `BubbleDistanceMatrix::memory_bytes`).
-            let projected = self.bubbles.len() * self.bubbles.len() * 12;
+            let projected = self.bubbles.len() * self.bubbles.len() * 8;
             if projected > cap {
                 db_obs::counter!("pipeline.matrix_skipped_budget").incr();
                 db_obs::log_debug!(
@@ -168,9 +175,9 @@ impl BubbleSpace {
     /// Unlike the in-walk [`OpticsSpace::core_distance`], this needs no
     /// neighbourhood scan in the common cases: the cached total weight
     /// answers the `None` case, and a bubble holding ≥ MinPts points
-    /// answers from its own `nndist`. Only a sub-MinPts bubble needs the
-    /// sorted distance row — served from the precomputed matrix when
-    /// present, otherwise evaluated on the fly under the
+    /// answers from its own `nndist`. Only a sub-MinPts bubble needs its
+    /// distance row — served from the precomputed matrix when present,
+    /// otherwise evaluated on the fly under the
     /// `optics.unbounded_core_distance_calls` counter (its own metric:
     /// these are recovery-phase evaluations, not part of the walk's
     /// `optics.distance_calls`).
@@ -184,48 +191,81 @@ impl BubbleSpace {
         if b.n() >= min_pts {
             return Some(b.nndist(min_pts));
         }
-        // Sub-MinPts bubble: accumulate neighbours ascending by distance
-        // until MinPts points are covered (Def. 7's rare case with ε = ∞).
-        let accumulate = |pairs: &mut dyn Iterator<Item = (usize, f64)>| -> Option<f64> {
-            let mut cumulative = 0u64;
-            for (id, dist) in pairs {
-                let c = &self.bubbles[id];
-                if cumulative + c.n() >= min_pts {
-                    let k = min_pts - cumulative;
-                    return Some(dist + c.nndist(k));
-                }
-                cumulative += c.n();
-            }
-            unreachable!("total_n >= min_pts guarantees the loop terminates");
-        };
+        // Sub-MinPts bubble: Def. 7's rare case with ε = ∞.
         if let Some(m) = &self.matrix {
-            let (ids, dists) = m.row(i);
-            return accumulate(&mut ids.iter().zip(dists).map(|(&id, &d)| (id as usize, d)));
+            let row = m.row(i);
+            return Some(self.covering_distance(min_pts, || row.iter().copied().enumerate()));
         }
-        // Fallback: one exhaustive scan-and-sort for this bubble only.
+        // Fallback: one exhaustive row evaluation for this bubble only.
         db_obs::counter!("optics.unbounded_core_distance_calls").add(self.bubbles.len() as u64);
-        let mut row: Vec<(f64, usize)> = self
-            .bubbles
-            .iter()
-            .enumerate()
-            .map(|(j, c)| (bubble_distance(b, c, i == j), j))
-            .collect();
-        row.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        accumulate(&mut row.into_iter().map(|(d, id)| (id, d)))
+        let row: Vec<f64> =
+            self.bubbles.iter().enumerate().map(|(j, c)| bubble_distance(b, c, i == j)).collect();
+        Some(self.covering_distance(min_pts, || row.iter().copied().enumerate()))
+    }
+
+    /// Definition 7's rare case: takes the candidate bubbles `(id, dist)`
+    /// ascending by [`DistId`] until their points cover `min_pts`, and
+    /// returns `dist + nndist(k, C)` for the bubble `C` that completes the
+    /// count, `k` being the points still missing before it.
+    ///
+    /// No sort and no allocation: each pass over `candidates` selects the
+    /// next [`SELECT_BATCH`] smallest above the previous pick into a stack
+    /// array, so taking `m` bubbles costs `⌈m / SELECT_BATCH⌉` O(k)
+    /// passes, and `m ≤ min_pts` since every bubble holds a point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the candidates hold fewer than `min_pts` points in total.
+    fn covering_distance<I>(&self, min_pts: u64, candidates: impl Fn() -> I) -> f64
+    where
+        I: Iterator<Item = (usize, f64)>,
+    {
+        let mut covered = 0u64;
+        let mut last: Option<DistId> = None;
+        loop {
+            // The up to SELECT_BATCH smallest candidates above `last`,
+            // ascending.
+            let mut batch = [DistId(0.0, 0); SELECT_BATCH];
+            let mut len = 0;
+            for c in candidates().map(|(id, d)| DistId(d, id)) {
+                if last.is_some_and(|l| c <= l) || (len == SELECT_BATCH && c >= batch[len - 1]) {
+                    continue;
+                }
+                len = len.min(SELECT_BATCH - 1);
+                let at = batch[..len].partition_point(|b| *b < c);
+                batch.copy_within(at..len, at + 1);
+                batch[at] = c;
+                len += 1;
+            }
+            assert!(len > 0, "the candidates hold at least min_pts points");
+            for next in &batch[..len] {
+                let c = &self.bubbles[next.1];
+                if covered + c.n() >= min_pts {
+                    return next.0 + c.nndist(min_pts - covered);
+                }
+                covered += c.n();
+            }
+            last = Some(batch[len - 1]);
+        }
     }
 }
+
+/// Neighbours one selection pass of [`BubbleSpace::covering_distance`]
+/// takes: a bubble borrowing from up to 64 neighbours needs a single O(k)
+/// pass, and the 1 KiB batch stays on the stack.
+const SELECT_BATCH: usize = 64;
 
 impl OpticsSpace for BubbleSpace {
     fn len(&self) -> usize {
         self.bubbles.len()
     }
 
+    /// Id order on both paths: the matrix row filtered by `d <= eps`, or
+    /// the same filter over an on-the-fly scan.
     fn neighborhood(&self, i: usize, eps: f64, out: &mut Vec<Neighbor>) {
         out.clear();
         if let Some(m) = &self.matrix {
-            // Pre-sorted row: the ε prefix is exactly the filtered scan
-            // below, and the k distance evaluations were already counted
-            // at matrix-build time.
+            // The k distance evaluations were counted at matrix-build time.
             m.neighborhood_into(i, eps, out);
             return;
         }
@@ -238,24 +278,28 @@ impl OpticsSpace for BubbleSpace {
         }
         // One bubble-distance evaluation per pair scanned (exhaustive O(k)).
         db_obs::counter!("optics.distance_calls").add(self.bubbles.len() as u64);
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
     }
 
     fn weight(&self, i: usize) -> u64 {
         self.bubbles[i].n()
     }
 
-    /// Definition 7. With the neighbourhood sorted ascending by distance:
+    /// Definition 7, for a neighbourhood in any order:
     ///
     /// * ∞ (None) when the bubbles within ε together hold < MinPts points;
     /// * `nndist(MinPts, B)` when the bubble itself holds ≥ MinPts points
     ///   (the common case);
     /// * otherwise `dist(B, C) + nndist(k, C)` where `C` is the closest
     ///   bubble at which the cumulative point count reaches MinPts and
-    ///   `k = MinPts −` (points of all bubbles strictly closer than `C`).
+    ///   `k = MinPts −` (points of all bubbles strictly closer than `C`),
+    ///   "closer" under the [`DistId`] order.
     fn core_distance(&self, i: usize, min_pts: usize, neighborhood: &[Neighbor]) -> Option<f64> {
         let min_pts = min_pts as u64;
-        let total: u64 = neighborhood.iter().map(|nb| self.bubbles[nb.id].n()).sum();
+        let total = if neighborhood.len() == self.bubbles.len() {
+            self.total_n
+        } else {
+            neighborhood.iter().map(|nb| self.bubbles[nb.id].n()).sum()
+        };
         if total < min_pts {
             return None;
         }
@@ -263,18 +307,9 @@ impl OpticsSpace for BubbleSpace {
         if b.n() >= min_pts {
             return Some(b.nndist(min_pts));
         }
-        // Rare case: accumulate neighbours (the bubble itself is the first
-        // entry at distance 0) until MinPts points are covered.
-        let mut cumulative = 0u64;
-        for nb in neighborhood {
-            let c = &self.bubbles[nb.id];
-            if cumulative + c.n() >= min_pts {
-                let k = min_pts - cumulative;
-                return Some(nb.dist + c.nndist(k));
-            }
-            cumulative += c.n();
-        }
-        unreachable!("total >= min_pts guarantees the loop terminates");
+        // Rare case: borrow points from the closest neighbours (the bubble
+        // itself is among them, at distance 0).
+        Some(self.covering_distance(min_pts, || neighborhood.iter().map(|nb| (nb.id, nb.dist))))
     }
 }
 
@@ -295,14 +330,14 @@ mod tests {
     }
 
     #[test]
-    fn neighborhood_sorted_includes_self_first() {
+    fn neighborhood_is_id_ordered_and_includes_self() {
         let s = space_three_groups();
         let mut out = Vec::new();
         s.neighborhood(1, 10.0, &mut out);
-        assert_eq!(out[0].id, 1);
-        assert_eq!(out[0].dist, 0.0);
-        assert_eq!(out.len(), 2); // self and bubble 0; bubble 2 is too far
-        assert!(out.windows(2).all(|w| w[0].dist <= w[1].dist));
+        // Self and bubble 0, in id order; bubble 2 is too far.
+        assert_eq!(out.iter().map(|nb| nb.id).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(out[1].dist, 0.0);
+        assert_eq!(out[0].dist, bubble_distance(s.bubble(1), s.bubble(0), false));
     }
 
     #[test]

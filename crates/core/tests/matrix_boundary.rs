@@ -1,12 +1,13 @@
 //! Boundary behavior of the precomputed bubble-distance matrix: ε-queries
-//! whose ε equals a realized distance exactly, and `(dist, id)` tie
-//! ordering, must match the on-the-fly evaluation bit for bit.
+//! whose ε equals a realized distance exactly, and exactly tied distances,
+//! must match the on-the-fly evaluation bit for bit.
 //!
-//! The matrix path answers a neighborhood query with
-//! `partition_point(|&d| d <= eps)` over a presorted row; the on-the-fly
-//! path filters `d <= eps` and sorts. Both predicates act on the *same*
-//! f64 values (both sides call `bubble_distance` on identical inputs), so
-//! any divergence — a `<` vs `<=` slip, an unstable tie sort — is a bug.
+//! Both paths answer a neighborhood query in id order: the matrix path
+//! filters a stored row with `d <= eps`, the on-the-fly path filters a
+//! fresh scan with the same predicate. Both act on the *same* f64 values
+//! (both sides evaluate `bubble_distance` on identical inputs), so any
+//! divergence — a `<` vs `<=` slip, a row written out of id order — is a
+//! bug.
 
 use data_bubbles::{bubble_distance, BubbleSpace, DataBubble};
 use db_datagen::Rng;
@@ -120,8 +121,8 @@ fn exact_boundary_epsilon_includes_the_boundary_neighbor_in_both_paths() {
 
 #[test]
 fn tied_distances_order_by_id_in_both_paths() {
-    // Four identical bubbles: every cross distance is the same value, so
-    // the neighborhood order is decided purely by the id tiebreak.
+    // Four identical bubbles: every cross distance is the same value. Both
+    // paths must list all four, in id order, with the same bits.
     let b = DataBubble::new(vec![1.0, 2.0], 5, 0.5);
     let bubbles = vec![b.clone(), b.clone(), b.clone(), b];
     let plain = BubbleSpace::new(bubbles.clone());
@@ -134,11 +135,10 @@ fn tied_distances_order_by_id_in_both_paths() {
         plain.neighborhood(i, f64::INFINITY, &mut a);
         with_matrix.neighborhood(i, f64::INFINITY, &mut bo);
         assert_eq!(a, bo, "query {i}");
-        // Self first (distance 0), then the tied others in id order.
-        assert_eq!(a[0].id, i);
-        let rest: Vec<usize> = a[1..].iter().map(|nb| nb.id).collect();
-        let mut expect: Vec<usize> = (0..4).filter(|&j| j != i).collect();
-        expect.sort_unstable();
-        assert_eq!(rest, expect, "query {i}: tie ordering");
+        let ids: Vec<usize> = a.iter().map(|nb| nb.id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3], "query {i}: id order");
+        assert_eq!(a[i].dist, 0.0, "query {i}: self at distance 0");
+        let tie = a[(i + 1) % 4].dist.to_bits();
+        assert!(a.iter().filter(|nb| nb.id != i).all(|nb| nb.dist.to_bits() == tie), "query {i}");
     }
 }

@@ -88,7 +88,9 @@ pub fn optics_supervised<S: OpticsSpace>(
             weight: space.weight(i),
         });
         if let Some(core) = core {
-            // Update the seed list with every unprocessed neighbour.
+            // Update the seed list with every unprocessed neighbour, in
+            // whatever order the space returned them (any order leaves the
+            // same seeds; see `OpticsSpace::neighborhood`).
             for nb in neighbors.iter() {
                 if processed[nb.id] {
                     continue;

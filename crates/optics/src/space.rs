@@ -36,17 +36,24 @@ pub trait OpticsSpace {
     }
 
     /// Writes the ε-neighbourhood of object `i` into `out` (cleared first),
-    /// **sorted ascending by distance**, *including* object `i` itself at
-    /// distance 0.
+    /// *including* object `i` itself at distance 0. Each object appears
+    /// once, **in any order the space chooses**; the same output is what
+    /// [`OpticsSpace::core_distance`] receives.
+    ///
+    /// The walk and [`crate::dbscan_core`] do not depend on the order:
+    /// each neighbour is offered to the seed list once per query, a seed
+    /// is pushed iff `max(core, d) < reach[j]`, and the seed list pops
+    /// under the total order [`db_spatial::order::DistId`], so any order
+    /// leaves the same seeds and the same cluster ordering.
     fn neighborhood(&self, i: usize, eps: f64, out: &mut Vec<Neighbor>);
 
     /// Number of original data objects represented by object `i`
     /// (1 for plain points, `n` for summaries).
     fn weight(&self, i: usize) -> u64;
 
-    /// The core-distance of object `i` given its ε-neighbourhood (as
-    /// produced by [`OpticsSpace::neighborhood`]). `None` encodes ∞
-    /// (not a core object).
+    /// The core-distance of object `i` given its ε-neighbourhood, exactly
+    /// as [`OpticsSpace::neighborhood`] produced it (in the space's own
+    /// order). `None` encodes ∞ (not a core object).
     fn core_distance(&self, i: usize, min_pts: usize, neighborhood: &[Neighbor]) -> Option<f64>;
 }
 
@@ -86,6 +93,8 @@ impl OpticsSpace for PointSpace<'_> {
         self.ds.len()
     }
 
+    /// Sorted ascending by `(distance, id)`: Definition 3's core distance
+    /// below reads the MinPts-th entry.
     fn neighborhood(&self, i: usize, eps: f64, out: &mut Vec<Neighbor>) {
         self.index.range(self.ds, self.ds.point(i), eps, out);
         // Lower bound: the index evaluates at least one distance per

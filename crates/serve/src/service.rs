@@ -216,14 +216,19 @@ impl Snapshot {
 }
 
 /// Refreshes the staleness gauges of the artifact now serving: its age
-/// (`serve.cache.age_ms`) and the objects absorbed since it was built
-/// (`serve.cache.absorbed_since_build`). Called at every ingest and
-/// install, so a `/metrics` scraper sees them move without a `/stats`
-/// call.
+/// (`serve.cache.age_ms`), the objects absorbed since it was built
+/// (`serve.cache.absorbed_since_build`), and those objects as a fraction
+/// of all the objects the service holds
+/// (`serve.cache.new_mass_fraction_ppm`; gauges hold integers, so the
+/// fraction is in parts per million, rounded down). Called at every
+/// ingest and install, so a `/metrics` scraper sees them move without a
+/// `/stats` call.
 fn publish_staleness(art: &Artifact, n_objects: usize) {
+    let absorbed = n_objects.saturating_sub(art.n_objects) as u64;
     db_obs::gauge!("serve.cache.age_ms").set(art.built_at.elapsed().as_millis() as i64);
-    db_obs::gauge!("serve.cache.absorbed_since_build")
-        .set(n_objects.saturating_sub(art.n_objects) as i64);
+    db_obs::gauge!("serve.cache.absorbed_since_build").set(absorbed as i64);
+    let ppm = absorbed.saturating_mul(1_000_000).checked_div(n_objects as u64).unwrap_or(0);
+    db_obs::gauge!("serve.cache.new_mass_fraction_ppm").set(ppm as i64);
 }
 
 /// Builds an [`Artifact`] (generation filled in by the caller) from a

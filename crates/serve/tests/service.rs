@@ -238,6 +238,7 @@ fn http_validation_boundary() {
 
 /// The value of an unlabelled Prometheus sample `name` in a `/metrics`
 /// body.
+#[cfg(feature = "metrics")]
 fn metric(body: &str, name: &str) -> Option<f64> {
     body.lines()
         .filter_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
@@ -247,7 +248,9 @@ fn metric(body: &str, name: &str) -> Option<f64> {
 /// The staleness gauges move at ingest, not only when someone calls
 /// `/stats`: two `/metrics` scrapes with an ingest between them, and no
 /// `/stats` call anywhere, see the cache age advance and the absorbed
-/// count grow.
+/// count and new-mass fraction grow. The gauges exist only with the
+/// `metrics` feature.
+#[cfg(feature = "metrics")]
 #[test]
 fn metrics_scrapes_see_the_cache_age_advance_without_stats() {
     let _g = global_guard();
@@ -262,17 +265,19 @@ fn metrics_scrapes_see_the_cache_age_advance_without_stats() {
         let age = metric(&body, "serve_cache_age_ms").expect("age gauge exported");
         let absorbed =
             metric(&body, "serve_cache_absorbed_since_build").expect("absorbed gauge exported");
-        (age, absorbed)
+        let fraction = metric(&body, "serve_cache_new_mass_fraction_ppm").expect("fraction gauge");
+        (age, absorbed, fraction)
     };
 
     std::thread::sleep(Duration::from_millis(20));
-    let (age1, absorbed1) = scrape(&[&[0.5, 0.5]]);
+    let (age1, absorbed1, _) = scrape(&[&[0.5, 0.5]]);
     std::thread::sleep(Duration::from_millis(60));
-    let (age2, absorbed2) = scrape(&[&[0.5, 0.5], &[0.25, 0.5]]);
+    let (age2, absorbed2, fraction2) = scrape(&[&[0.5, 0.5], &[0.25, 0.5]]);
 
     assert!(age1 >= 20.0, "first scrape age {age1} ms");
     assert!(age2 >= age1 + 60.0, "age did not advance: {age1} ms then {age2} ms");
     assert_eq!((absorbed1, absorbed2), (1.0, 3.0));
+    assert_eq!(fraction2, (3_000_000 / svc.compression().n_objects()) as f64);
     assert_eq!(svc.artifact().generation, 0, "no recluster may reset the age in between");
     server.shutdown();
 }

@@ -306,43 +306,3 @@ fn parallel_classify_is_split_invariant_on_the_kernel_path() {
         assert_eq!(par, seq, "threads = {threads}");
     }
 }
-
-// ---------------------------------------------------------------------------
-// Zero-sqrt audit: the kernel classify path never leaves squared space
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "metrics")]
-#[test]
-fn kernel_classify_path_performs_zero_sqrt() {
-    // ε-query convention audit: every scan compares in squared space and
-    // converts only *reported* results via `surrogate_to_dist`, which is
-    // where `spatial.sqrt_evals` is tallied. 1-NN classification reports
-    // no distances at all — the kernel path must therefore take zero
-    // square roots per candidate (and zero in total).
-    let ds = blob_dataset(2_000, 4, 0x5EED);
-    let reps = ds.subset(&(0..100).map(|i| i * 17).collect::<Vec<_>>());
-
-    db_obs::reset();
-    let kernel_assign = nn_classify(&ds, &reps);
-    let snap = db_obs::snapshot();
-    assert_eq!(
-        snap.counter("spatial.sqrt_evals").unwrap_or(0),
-        0,
-        "kernel classify path took square roots"
-    );
-    assert_eq!(snap.counter("spatial.dist_evals"), Some((ds.len() * reps.len()) as u64));
-
-    // The index route (k above the threshold) converts one reported
-    // nearest distance per point — nonzero by design, which is exactly
-    // what the kernel path avoids. This keeps the counter honest: a
-    // broken tally would make the zero above vacuous.
-    let big_reps = ds.subset(&(0..NN_KERNEL_MAX_REPS + 1).map(|i| i * 7).collect::<Vec<_>>());
-    db_obs::reset();
-    let index_assign = nn_classify(&ds, &big_reps);
-    let snap = db_obs::snapshot();
-    assert!(
-        snap.counter("spatial.sqrt_evals").unwrap_or(0) >= ds.len() as u64,
-        "index path should report >= one sqrt per classified point"
-    );
-    assert_eq!(kernel_assign.len(), index_assign.len());
-}

@@ -354,7 +354,7 @@ fn matrix_byte_budget_skips_the_matrix_bit_identically() {
     let mut c = cfg(40, Compressor::Sample { seed: 7 }, Recovery::Bubbles);
     let unconstrained = run_pipeline(&ds, &c).expect("unconstrained");
 
-    // 40×40×12 bytes = 19,200: a 1,000-byte cap must force the skip.
+    // 40×40×8 bytes = 12,800: a 1,000-byte cap must force the skip.
     let skipped_before = db_obs::snapshot().counter("pipeline.matrix_skipped_budget").unwrap_or(0);
     c.budget.max_matrix_bytes = Some(1_000);
     let capped = run_pipeline_supervised(&ds, &c).expect("capped");
