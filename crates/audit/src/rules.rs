@@ -4,27 +4,27 @@
 //! Every rule here earned its place by being violated (or nearly so) at
 //! some point in the project's history:
 //!
-//! * [`no-unwrap-prod`] — service/supervision/pipeline code must not
+//! * `no-unwrap-prod` — service/supervision/pipeline code must not
 //!   panic on `Result`/`Option`; PR 7/8 converted these paths to typed
 //!   errors and this rule keeps them converted.
-//! * [`total-cmp`] — float orderings go through `f64::total_cmp` (or the
-//!   shared [`db_spatial::order`] helper); `partial_cmp` on NaN-capable
+//! * `total-cmp` — float orderings go through `f64::total_cmp` (or the
+//!   shared `db_spatial::order` helper); `partial_cmp` on NaN-capable
 //!   values silently reorders under adversarial input (PR 2).
-//! * [`no-naked-sqrt`] — the ε/k-NN pipeline compares in *squared* space
+//! * `no-naked-sqrt` — the ε/k-NN pipeline compares in *squared* space
 //!   and takes `sqrt` only at reporting flush sites (the PR 9 audit,
 //!   made permanent).
-//! * [`no-wallclock-in-core`] — determinism paths never read clocks;
+//! * `no-wallclock-in-core` — determinism paths never read clocks;
 //!   wall time lives in obs/supervise/serve/bench (PR 3's bit-for-bit
 //!   guarantee would silently die the day a clock steered a loop).
-//! * [`checked-id-cast`] — point/bubble ids are `u32`; a bare `as u32`
-//!   silently truncates above [`Dataset::MAX_POINTS`], so casts go
+//! * `checked-id-cast` — point/bubble ids are `u32`; a bare `as u32`
+//!   silently truncates above `Dataset::MAX_POINTS`, so casts go
 //!   through `db_spatial::id::{checked_id, id_u32}`.
-//! * [`no-hashmap-iter-order`] — crates that produce `PipelineOutput` or
+//! * `no-hashmap-iter-order` — crates that produce `PipelineOutput` or
 //!   orderings must not iterate `HashMap`/`HashSet` (iteration order is
 //!   nondeterministic); collect and sort, or keep maps lookup-only.
-//! * [`counter-naming`] — metric/span names follow the registry's
+//! * `counter-naming` — metric/span names follow the registry's
 //!   `area.snake_case` convention so exporters group them correctly.
-//! * [`lock-order`] — in `db-serve`, `live` is never acquired while
+//! * `lock-order` — in `db-serve`, `live` is never acquired while
 //!   `cache` is held (the PR 8 deadlock convention), enforced by an
 //!   acquisition-site scan.
 //!
@@ -632,8 +632,7 @@ impl Rule for LockOrder {
                     Some(LockKind::Live) if cache_at.is_some() => {
                         let line = open + at; // byte offset in masked
                         let line_no = masked[..line].matches('\n').count() + 1;
-                        let col =
-                            line - masked[..line].rfind('\n').map(|x| x + 1).unwrap_or(0) + 1;
+                        let col = line - masked[..line].rfind('\n').map(|x| x + 1).unwrap_or(0) + 1;
                         out.push(Finding {
                             rule: self.id(),
                             path: file.path.clone(),

@@ -4,7 +4,7 @@
 
 use crate::cf::Cf;
 use db_spatial::Dataset;
-use db_supervise::{Stop, Supervisor, Ticker};
+use db_supervise::{unsupervised, Stop, Supervisor, Ticker};
 
 /// Tuning parameters of a [`CfTree`].
 #[derive(Debug, Clone)]
@@ -360,10 +360,7 @@ impl CfTree {
     ///
     /// Panics if `max_leaf_entries == 0`.
     pub fn condense_to(&mut self, max_leaf_entries: usize) {
-        match self.condense_to_supervised(max_leaf_entries, &Supervisor::unlimited()) {
-            Ok(()) => {}
-            Err(stop) => panic!("unsupervised condensation stopped: {stop}"),
-        }
+        unsupervised("condensation", |sup| self.condense_to_supervised(max_leaf_entries, sup));
     }
 
     /// [`CfTree::condense_to`] under supervision: the supervisor is
@@ -481,10 +478,7 @@ fn split_inner(pairs: InnerEntries) -> (InnerEntries, InnerEntries) {
 /// phase-2 condensation to at most `k` leaf entries, returning the leaf
 /// CFs. This is step 1 of the paper's `OPTICS-CF` pipelines.
 pub fn birch(ds: &Dataset, k: usize, params: &BirchParams) -> Vec<Cf> {
-    match birch_supervised(ds, k, params, &Supervisor::unlimited()) {
-        Ok(entries) => entries,
-        Err(stop) => panic!("unsupervised birch stopped: {stop}"),
-    }
+    unsupervised("birch", |sup| birch_supervised(ds, k, params, sup))
 }
 
 /// Cooperative-check cadence for phase-1 insertion (an insert is a tree
@@ -492,7 +486,7 @@ pub fn birch(ds: &Dataset, k: usize, params: &BirchParams) -> Vec<Cf> {
 const INSERT_TICK: u32 = 64;
 
 /// [`birch`] under supervision: phase-1 insertion consults `sup` every
-/// [`INSERT_TICK`] points and phase-2 condensation before every rebuild
+/// `INSERT_TICK` points and phase-2 condensation before every rebuild
 /// round. On `Err` the whole tree is dropped — no partial CF set escapes;
 /// on `Ok` the result is bit-for-bit the unsupervised one.
 ///

@@ -26,7 +26,7 @@
 use std::num::NonZeroUsize;
 
 use db_spatial::Neighbor;
-use db_supervise::{catch_shared, fault, first_stop, panic_message, Stop, Supervisor};
+use db_supervise::{resolve_threads, run_blocks, Stop, Supervisor};
 
 use crate::bubble::DataBubble;
 use crate::distance::bubble_distance_from_parts;
@@ -49,26 +49,12 @@ pub struct BubbleDistanceMatrix {
 
 impl BubbleDistanceMatrix {
     /// Builds the matrix over `bubbles` with `threads` workers (`None` =
-    /// available parallelism). The k² distance evaluations are counted
-    /// under `optics.distance_calls`, exactly as the on-the-fly scans they
+    /// available parallelism) under supervision: `sup` is consulted before
+    /// every row (a row is O(k), so the reaction latency stays tiny against
+    /// the 50ms target) and worker panics are captured. On `Err` the whole
+    /// matrix is discarded. The k² distance evaluations are counted under
+    /// `optics.distance_calls`, exactly as the on-the-fly scans they
     /// replace would have been.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bubbles` is empty or `k * k` entries would overflow
-    /// `usize`.
-    pub fn build(bubbles: &[DataBubble], threads: Option<NonZeroUsize>) -> Self {
-        match Self::build_supervised(bubbles, threads, &Supervisor::unlimited()) {
-            Ok(m) => m,
-            Err(stop) => panic!("unsupervised matrix build stopped: {stop}"),
-        }
-    }
-
-    /// [`BubbleDistanceMatrix::build`] under supervision: the supervisor is
-    /// consulted before every row (a row is O(k), so the reaction
-    /// latency stays tiny against the 50ms target) and worker panics are
-    /// captured. On `Err` the whole matrix is discarded; on `Ok` the
-    /// result is bit-for-bit the unsupervised one.
     ///
     /// # Errors
     ///
@@ -78,7 +64,7 @@ impl BubbleDistanceMatrix {
     ///
     /// Panics if `bubbles` is empty or `k * k` entries would overflow
     /// `usize`.
-    pub fn build_supervised(
+    pub fn build(
         bubbles: &[DataBubble],
         threads: Option<NonZeroUsize>,
         sup: &Supervisor,
@@ -128,49 +114,25 @@ impl BubbleDistanceMatrix {
             }
         };
 
-        if threads <= 1 {
-            for (i, row) in dists.chunks_mut(k).enumerate() {
-                sup.check()?;
-                fill_row(i, row);
-            }
-        } else {
-            // Contiguous row blocks per thread; rows are independent, so
-            // the result cannot depend on this schedule. Worker time is
-            // linked back into the build span (child-time, same trace run),
-            // and each body runs under panic capture so one bad block
-            // surfaces as `Stop::Panicked` instead of unwinding the scope.
-            let parent = span.handle();
-            let rows_per_thread = k.div_ceil(threads);
-            let fill_row = &fill_row;
-            let mut results: Vec<Result<(), Stop>> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = dists
-                    .chunks_mut(rows_per_thread * k)
-                    .enumerate()
-                    .map(|(t, block)| {
-                        let parent = &parent;
-                        scope.spawn(move || {
-                            catch_shared(|| {
-                                let _s = db_obs::span_linked!("optics.matrix_fill", parent);
-                                fault::inject("matrix.worker", sup.token());
-                                let first = t * rows_per_thread;
-                                for (r, row) in block.chunks_mut(k).enumerate() {
-                                    sup.check()?;
-                                    fill_row(first + r, row);
-                                }
-                                Ok(())
-                            })
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    results.push(handle.join().unwrap_or_else(|payload| {
-                        Err(Stop::Panicked { message: panic_message(payload.as_ref()) })
-                    }));
+        // Contiguous row blocks per worker; rows are independent, so the
+        // result cannot depend on this schedule. Worker time is linked back
+        // into the build span (child-time, same trace run).
+        let parent = span.handle();
+        run_blocks(
+            &mut dists,
+            k.div_ceil(threads) * k,
+            threads,
+            sup,
+            "matrix.worker",
+            || db_obs::span_linked!("optics.matrix_fill", &parent),
+            |first, block| {
+                for (r, row) in block.chunks_mut(k).enumerate() {
+                    sup.check()?;
+                    fill_row(first / k + r, row);
                 }
-            });
-            first_stop(results)?;
-        }
+                Ok(())
+            },
+        )?;
         // One evaluation per (row, column) pair — the same count the
         // replaced exhaustive scans would have reported.
         db_obs::counter!("optics.distance_calls").add(cells as u64);
@@ -213,18 +175,13 @@ impl BubbleDistanceMatrix {
     }
 }
 
-/// Resolves a thread-count knob: `None` means available parallelism,
-/// clamped to `[1, work_items]`.
-pub(crate) fn resolve_threads(threads: Option<NonZeroUsize>, work_items: usize) -> usize {
-    threads
-        .or_else(|| std::thread::available_parallelism().ok())
-        .map_or(1, NonZeroUsize::get)
-        .min(work_items.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn build(bubbles: &[DataBubble], threads: Option<NonZeroUsize>) -> BubbleDistanceMatrix {
+        BubbleDistanceMatrix::build(bubbles, threads, &Supervisor::unlimited()).unwrap()
+    }
 
     fn bubbles(n: usize) -> Vec<DataBubble> {
         (0..n)
@@ -243,18 +200,18 @@ mod tests {
         let bs = bubbles(61);
         let bits =
             |m: &BubbleDistanceMatrix| m.dists.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-        let base = bits(&BubbleDistanceMatrix::build(&bs, NonZeroUsize::new(1)));
+        let base = bits(&build(&bs, NonZeroUsize::new(1)));
         for threads in [2usize, 3, 7, 64] {
-            let m = BubbleDistanceMatrix::build(&bs, NonZeroUsize::new(threads));
+            let m = build(&bs, NonZeroUsize::new(threads));
             assert_eq!(bits(&m), base, "threads = {threads}");
         }
-        assert_eq!(bits(&BubbleDistanceMatrix::build(&bs, None)), base);
+        assert_eq!(bits(&build(&bs, None)), base);
     }
 
     #[test]
     fn rows_are_id_ordered_symmetric_with_zero_diagonal() {
         let bs = bubbles(20);
-        let m = BubbleDistanceMatrix::build(&bs, None);
+        let m = build(&bs, None);
         assert_eq!(m.k(), 20);
         for i in 0..20 {
             let row = m.row(i);
@@ -270,7 +227,7 @@ mod tests {
 
     #[test]
     fn row_tail_copies_only_above_the_diagonal() {
-        let m = BubbleDistanceMatrix::build(&bubbles(9), None);
+        let m = build(&bubbles(9), None);
         for i in 0..9 {
             let mut out = vec![f64::NAN; 9];
             m.row_tail_into(i, &mut out);
@@ -287,7 +244,7 @@ mod tests {
     #[test]
     fn neighborhood_is_the_id_ordered_filter() {
         let bs = bubbles(30);
-        let m = BubbleDistanceMatrix::build(&bs, None);
+        let m = build(&bs, None);
         for eps in [0.0, 1.0, 10.0, f64::INFINITY] {
             let mut out = Vec::new();
             m.neighborhood_into(3, eps, &mut out);
@@ -301,13 +258,13 @@ mod tests {
 
     #[test]
     fn memory_accounting() {
-        let m = BubbleDistanceMatrix::build(&bubbles(8), None);
+        let m = build(&bubbles(8), None);
         assert_eq!(m.memory_bytes(), 8 * 8 * 8);
     }
 
     #[test]
     #[should_panic(expected = "zero bubbles")]
     fn empty_build_panics() {
-        BubbleDistanceMatrix::build(&[], None);
+        build(&[], None);
     }
 }

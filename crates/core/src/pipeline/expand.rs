@@ -4,7 +4,7 @@
 
 use db_optics::ClusterOrdering;
 use db_spatial::id_u32;
-use db_supervise::{Stop, Supervisor, Ticker};
+use db_supervise::{unsupervised, Stop, Supervisor, Ticker};
 
 use crate::distance::virtual_reachability;
 use crate::space::BubbleSpace;
@@ -103,14 +103,11 @@ impl ExpandedOrdering {
 ///
 /// Panics if `members.len()` differs from the number of representatives.
 pub fn expand_weighted(ordering: &ClusterOrdering, members: &[Vec<usize>]) -> ExpandedOrdering {
-    match expand_weighted_supervised(ordering, members, &Supervisor::unlimited()) {
-        Ok(x) => x,
-        Err(stop) => panic!("unsupervised weighted expansion stopped: {stop}"),
-    }
+    unsupervised("weighted expansion", |sup| expand_weighted_supervised(ordering, members, sup))
 }
 
 /// [`expand_weighted`] under supervision: consults `sup` every
-/// [`EXPAND_TICK`] representatives. On `Err` the partial expansion is
+/// `EXPAND_TICK` representatives. On `Err` the partial expansion is
 /// discarded; on `Ok` the result is bit-for-bit the unsupervised one.
 ///
 /// # Errors
@@ -162,14 +159,13 @@ pub fn expand_bubbles(
     space: &BubbleSpace,
     min_pts: usize,
 ) -> ExpandedOrdering {
-    match expand_bubbles_supervised(ordering, members, space, min_pts, &Supervisor::unlimited()) {
-        Ok(x) => x,
-        Err(stop) => panic!("unsupervised bubble expansion stopped: {stop}"),
-    }
+    unsupervised("bubble expansion", |sup| {
+        expand_bubbles_supervised(ordering, members, space, min_pts, sup)
+    })
 }
 
 /// [`expand_bubbles`] under supervision: consults `sup` every
-/// [`EXPAND_TICK`] bubbles. On `Err` the partial expansion is discarded;
+/// `EXPAND_TICK` bubbles. On `Err` the partial expansion is discarded;
 /// on `Ok` the result is bit-for-bit the unsupervised one.
 ///
 /// # Errors

@@ -17,13 +17,13 @@
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::time::Instant;
 
 use db_birch::Cf;
 use db_optics::{optics, ClusterOrdering};
 use db_rng::Rng;
 use db_spatial::io::{read_csv_from, CsvError, CsvOptions};
 use db_spatial::{auto_index, id_u32, Dataset, SpatialIndex};
+use db_supervise::Supervisor;
 
 use crate::bubble::DataBubble;
 use crate::pipeline::{expand_bubbles, ExpandedOrdering, PipelineTimings};
@@ -165,9 +165,9 @@ pub fn run_external(
 ) -> Result<ExternalOutput, ExternalError> {
     // ---------------------------------------------------------- pass 1
     let _span = db_obs::span!("pipeline.external");
-    // db-audit: allow(no-wallclock-in-core) -- PipelineTimings metadata:
-    // phase wall times are reported in the output, never steer computation.
-    let t0 = Instant::now();
+    // An unlimited supervisor is the run's clock: the phase timings are
+    // differences of its elapsed time.
+    let clock = Supervisor::unlimited();
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut reservoir: Vec<Vec<f64>> = Vec::with_capacity(cfg.k);
     let mut coords = Vec::new();
@@ -221,12 +221,9 @@ pub fn run_external(
         offsets.push(offset);
         Ok(())
     })?;
-    let compression = t0.elapsed();
+    let compression = clock.elapsed();
 
     // ----------------------------------------------------- OPTICS step
-    // db-audit: allow(no-wallclock-in-core) -- PipelineTimings metadata:
-    // phase wall times are reported in the output, never steer computation.
-    let t1 = Instant::now();
     // Duplicate rows can shadow a sampled representative entirely (all
     // copies classify to the lowest-indexed one); drop empty statistics
     // and remap the classification.
@@ -250,12 +247,9 @@ pub fn run_external(
         members[a as usize].push(i);
     }
     let expanded = expand_bubbles(&rep_ordering, &members, &space, cfg.optics.min_pts);
-    let clustering = t1.elapsed();
+    let clustering = clock.elapsed() - compression;
 
     // ---------------------------------------------------------- pass 3
-    // db-audit: allow(no-wallclock-in-core) -- PipelineTimings metadata:
-    // phase wall times are reported in the output, never steer computation.
-    let t2 = Instant::now();
     let mut src = File::open(input)?;
     let mut out = BufWriter::new(File::create(output)?);
     writeln!(out, "# reachability,original row (cluster order)")?;
@@ -272,7 +266,7 @@ pub fn run_external(
         writeln!(out, "{},{}", reach, line.trim_end())?;
     }
     out.flush()?;
-    let recovery = t2.elapsed();
+    let recovery = clock.elapsed() - compression - clustering;
 
     Ok(ExternalOutput {
         n_objects: rows,

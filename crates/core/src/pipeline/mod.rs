@@ -12,14 +12,15 @@
 //!    Bubbles: §8 step 5 with virtual reachabilities).
 //!
 //! Phase wall-clock timings are recorded for the runtime experiments
-//! (Figures 16–18).
+//! (Figures 16–18) as differences of the run supervisor's
+//! [`Supervisor::elapsed`] clock; no other clock is read here.
 
 mod expand;
 pub mod external;
 
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use db_birch::{birch_supervised, BirchParams, Cf};
 use db_optics::{optics_points_supervised, optics_supervised, ClusterOrdering, OpticsParams};
@@ -379,9 +380,7 @@ pub fn run_pipeline(ds: &Dataset, cfg: &PipelineConfig) -> Result<PipelineOutput
     );
 
     // ------------------------------------------------------ step 1
-    // db-audit: allow(no-wallclock-in-core) -- PipelineTimings metadata:
-    // phase wall times are reported in the output, never steer computation.
-    let t0 = Instant::now();
+    let t0 = sup.elapsed();
     let span_compression = db_obs::span!("pipeline.compression");
     fault::inject("compression", sup.token());
     let needs_members = cfg.recovery != Recovery::Naive;
@@ -450,7 +449,7 @@ pub fn run_pipeline(ds: &Dataset, cfg: &PipelineConfig) -> Result<PipelineOutput
         }
     };
     drop(span_compression);
-    let compression = t0.elapsed();
+    let compression = sup.elapsed() - t0;
     db_obs::trace_instant!("pipeline.compressed", "n_representatives", reps.len());
 
     // ------------------------------------------------------ steps 2–3
@@ -487,9 +486,7 @@ fn cluster_step(
     cfg: &PipelineConfig,
     sup: &Supervisor,
 ) -> Result<Clustered, PipelineError> {
-    // db-audit: allow(no-wallclock-in-core) -- PipelineTimings metadata:
-    // phase wall times are reported in the output, never steer computation.
-    let t1 = Instant::now();
+    let t1 = sup.elapsed();
     let span_clustering = db_obs::span!("pipeline.clustering");
     fault::inject("clustering", sup.token());
     let clustering_stop = |stop| stop_error(stop, PipelinePhase::Clustering);
@@ -518,7 +515,7 @@ fn cluster_step(
         }
     };
     drop(span_clustering);
-    Ok(Clustered { rep_ordering, space, elapsed: t1.elapsed() })
+    Ok(Clustered { rep_ordering, space, elapsed: sup.elapsed() - t1 })
 }
 
 /// Step 3, shared by [`run_pipeline`] and [`recluster_from_compression`]:
@@ -532,9 +529,7 @@ fn recover_step(
     cfg: &PipelineConfig,
     sup: &Supervisor,
 ) -> Result<(Option<ExpandedOrdering>, Duration), PipelineError> {
-    // db-audit: allow(no-wallclock-in-core) -- PipelineTimings metadata:
-    // phase wall times are reported in the output, never steer computation.
-    let t2 = Instant::now();
+    let t2 = sup.elapsed();
     let span_recovery = db_obs::span!("pipeline.recovery");
     fault::inject("recovery", sup.token());
     let recovery_stop = |stop| stop_error(stop, PipelinePhase::Recovery);
@@ -562,7 +557,7 @@ fn recover_step(
         }
     };
     drop(span_recovery);
-    Ok((expanded, t2.elapsed()))
+    Ok((expanded, sup.elapsed() - t2))
 }
 
 /// Runs `body` as one recluster of a live compression's representatives

@@ -6,7 +6,7 @@ use std::num::NonZeroUsize;
 use db_optics::OpticsSpace;
 use db_spatial::order::DistId;
 use db_spatial::Neighbor;
-use db_supervise::{Stop, Supervisor};
+use db_supervise::{unsupervised, Stop, Supervisor};
 
 use crate::bubble::{BubbleError, DataBubble};
 use crate::distance::{bubble_distance, bubble_distance_from_parts};
@@ -91,10 +91,9 @@ impl BubbleSpace {
     /// `false`) when the space is empty or holds more than `max_k` bubbles
     /// — the on-the-fly path stays in place with identical results.
     pub fn precompute_matrix(&mut self, threads: Option<NonZeroUsize>, max_k: usize) -> bool {
-        match self.precompute_matrix_supervised(threads, max_k, None, &Supervisor::unlimited()) {
-            Ok(built) => built,
-            Err(stop) => panic!("unsupervised matrix precompute stopped: {stop}"),
-        }
+        unsupervised("matrix precompute", |sup| {
+            self.precompute_matrix_supervised(threads, max_k, None, sup)
+        })
     }
 
     /// [`BubbleSpace::precompute_matrix`] under supervision and an
@@ -131,7 +130,7 @@ impl BubbleSpace {
                 return Ok(false);
             }
         }
-        let m = BubbleDistanceMatrix::build_supervised(&self.bubbles, threads, sup)?;
+        let m = BubbleDistanceMatrix::build(&self.bubbles, threads, sup)?;
         db_obs::gauge!("optics.matrix_bytes").set(m.memory_bytes() as i64);
         self.matrix = Some(m);
         Ok(true)

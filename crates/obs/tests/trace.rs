@@ -5,11 +5,14 @@
 //!
 //! These tests share one process, so each records under its own
 //! [`RunId`] and asserts only on events carrying that id; recording is
-//! globally enabled and never turned back off.
+//! globally enabled and never turned back off. `trace::clear()` is the
+//! one global side effect: it hides every event recorded so far, whatever
+//! its run, so the test calling it holds [`CLEAR`] for writing while
+//! every other test holds it for reading.
 #![cfg(feature = "tracing")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Once, PoisonError, RwLock, RwLockReadGuard};
 
 use db_obs::trace::{self, RunId};
 use db_obs::{trace_json, Json, TraceEvent, TraceEventKind};
@@ -19,12 +22,19 @@ use db_obs::{trace_json, Json, TraceEvent, TraceEventKind};
 /// test calls first.
 const CAP: usize = 64;
 
-fn setup() {
+/// Serialises `trace::clear()` against tests with events in flight.
+static CLEAR: RwLock<()> = RwLock::new(());
+
+/// Enables recording once and returns a read guard on [`CLEAR`]; hold it
+/// for the whole test so no `clear()` lands between recording and
+/// reading.
+fn setup() -> RwLockReadGuard<'static, ()> {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
         std::env::set_var("DB_TRACE_CAP", CAP.to_string());
         trace::set_enabled(true);
     });
+    CLEAR.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn my_events(run: RunId) -> Vec<TraceEvent> {
@@ -33,7 +43,7 @@ fn my_events(run: RunId) -> Vec<TraceEvent> {
 
 #[test]
 fn ring_wraparound_keeps_newest_events() {
-    setup();
+    let _clear = setup();
     let run = RunId::next();
     let _g = run.enter();
     let name = trace::intern("wrap.probe");
@@ -53,7 +63,7 @@ fn ring_wraparound_keeps_newest_events() {
 
 #[test]
 fn concurrent_writers_never_yield_torn_events() {
-    setup();
+    let _clear = setup();
     let run = RunId::next();
     const WRITERS: usize = 4;
     const PER_WRITER: u64 = 5_000;
@@ -127,7 +137,8 @@ fn concurrent_writers_never_yield_torn_events() {
 
 #[test]
 fn clear_hides_old_events_only() {
-    setup();
+    drop(setup());
+    let _clear = CLEAR.write().unwrap_or_else(PoisonError::into_inner);
     let run = RunId::next();
     let _g = run.enter();
     let name = trace::intern("clear.probe");
@@ -143,7 +154,7 @@ fn clear_hides_old_events_only() {
 
 #[test]
 fn chrome_json_round_trips_through_parser() {
-    setup();
+    let _clear = setup();
     let run = RunId::next();
     let _g = run.enter();
     let span = trace::intern("roundtrip.span");

@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 
 use db_spatial::order::DistId;
 use db_spatial::{Dataset, Neighbor};
-use db_supervise::{Stop, Supervisor, Ticker};
+use db_supervise::{unsupervised, Stop, Supervisor, Ticker};
 
 use crate::ordering::{ClusterOrdering, OrderingEntry, UNDEFINED};
 use crate::space::{OpticsParams, OpticsSpace, PointSpace};
@@ -29,14 +29,11 @@ const WALK_TICK: u32 = 16;
 ///
 /// Panics if `min_pts == 0` or `eps < 0`.
 pub fn optics<S: OpticsSpace>(space: &S, params: &OpticsParams) -> ClusterOrdering {
-    match optics_supervised(space, params, &Supervisor::unlimited()) {
-        Ok(ordering) => ordering,
-        Err(stop) => panic!("unsupervised OPTICS walk stopped: {stop}"),
-    }
+    unsupervised("OPTICS walk", |sup| optics_supervised(space, params, sup))
 }
 
 /// [`optics`] under supervision: the walk consults `sup` every
-/// [`WALK_TICK`] processed objects. On `Err` the partial ordering is
+/// `WALK_TICK` processed objects. On `Err` the partial ordering is
 /// discarded; on `Ok` the result is bit-for-bit the unsupervised one.
 ///
 /// # Errors

@@ -50,7 +50,7 @@ use std::num::NonZeroUsize;
 use db_birch::Cf;
 use db_rng::Rng;
 use db_spatial::{id_u32, Dataset};
-use db_supervise::{Stop, Supervisor};
+use db_supervise::{unsupervised, Stop, Supervisor};
 
 /// Errors of the sampling compressor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,14 +190,13 @@ pub fn compress_by_sampling_threaded(
     seed: u64,
     threads: Option<NonZeroUsize>,
 ) -> Result<CompressedSample, SamplingError> {
-    match compress_by_sampling_supervised(ds, k, seed, threads, &Supervisor::unlimited()) {
-        Ok(c) => Ok(c),
-        Err(CompressStop::Sampling(e)) => Err(e),
-        // Unreachable without fault injection: an unlimited supervisor with
-        // a fresh token never stops cooperatively, and a worker panic
-        // should keep panicking callers that did not opt into supervision.
-        Err(CompressStop::Stopped(stop)) => panic!("unsupervised compression stopped: {stop}"),
-    }
+    unsupervised("compression", |sup| {
+        match compress_by_sampling_supervised(ds, k, seed, threads, sup) {
+            Ok(c) => Ok(Ok(c)),
+            Err(CompressStop::Sampling(e)) => Ok(Err(e)),
+            Err(CompressStop::Stopped(stop)) => Err(stop),
+        }
+    })
 }
 
 /// [`compress_by_sampling_threaded`] under supervision: the classification
@@ -270,19 +269,7 @@ pub fn compress_by_sampling_supervised(
 ///
 /// Panics if `reps` is empty or dimensionalities differ.
 pub fn nn_classify(ds: &Dataset, reps: &Dataset) -> Vec<u32> {
-    assert!(!reps.is_empty(), "cannot classify against an empty representative set");
-    assert_eq!(ds.dim(), reps.dim(), "dimensionality mismatch");
-    let _span = db_obs::span!("sampling.nn_classify");
-    let backend = parallel::ClassifyBackend::new(reps);
-    let mut out = vec![0u32; ds.len()];
-    match parallel::classify_into(ds, reps, &backend, 0, &mut out, &Supervisor::unlimited()) {
-        Ok(()) => {}
-        // Unreachable without fault injection: an unlimited supervisor
-        // never stops cooperatively.
-        Err(stop) => panic!("unsupervised classification stopped: {stop}"),
-    }
-    db_obs::counter!("sampling.points_classified").add(out.len() as u64);
-    out
+    nn_classify_parallel(ds, reps, NonZeroUsize::new(1))
 }
 
 /// Accumulates per-representative sufficient statistics from a

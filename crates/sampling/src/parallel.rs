@@ -28,7 +28,7 @@ use std::num::NonZeroUsize;
 
 use db_birch::Cf;
 use db_spatial::{auto_index, id_u32, kernels, AnyIndex, Dataset, SpatialIndex};
-use db_supervise::{catch_shared, fault, first_stop, panic_message, Stop, Supervisor, Ticker};
+use db_supervise::{resolve_threads, run_blocks, unsupervised, Stop, Supervisor, Ticker};
 
 /// Largest representative set classified through the batched brute-force
 /// kernel ([`kernels::nn_block`]) instead of a spatial index. At the
@@ -49,7 +49,7 @@ const CLASSIFY_BLOCK: usize = 128;
 /// How a classification pass finds nearest representatives. Chosen once
 /// per pass from the representative count only — never from the thread
 /// count — so the route (and its metrics trail) is deterministic.
-pub(crate) enum ClassifyBackend {
+enum ClassifyBackend {
     /// Batched brute-force over the flat representative block.
     Kernel,
     /// Prebuilt spatial index, for large representative sets.
@@ -57,7 +57,7 @@ pub(crate) enum ClassifyBackend {
 }
 
 impl ClassifyBackend {
-    pub(crate) fn new(reps: &Dataset) -> Self {
+    fn new(reps: &Dataset) -> Self {
         if reps.len() <= NN_KERNEL_MAX_REPS {
             ClassifyBackend::Kernel
         } else {
@@ -76,20 +76,11 @@ const CLASSIFY_TICK: u32 = 256;
 /// single Welford update (ns-scale).
 const STATS_TICK: u32 = 1024;
 
-/// Resolves a thread-count knob: `None` means available parallelism, and
-/// the result is clamped to `[1, work_items]`.
-pub(crate) fn resolve_threads(threads: Option<NonZeroUsize>, work_items: usize) -> usize {
-    threads
-        .or_else(|| std::thread::available_parallelism().ok())
-        .map_or(1, NonZeroUsize::get)
-        .min(work_items.max(1))
-}
-
 /// Classifies the points `offset..offset + out.len()` of `ds` against the
-/// chosen backend, writing into `out`. Shared, uninstrumented core of both
-/// the sequential and the parallel classification paths. On `Err` the
-/// caller discards `out` wholesale, so partially-written slots never leak.
-pub(crate) fn classify_into(
+/// chosen backend, writing into `out`: the uninstrumented per-chunk body
+/// of [`nn_classify_supervised`]. On `Err` the caller discards `out`
+/// wholesale, so partially-written slots never leak.
+fn classify_into(
     ds: &Dataset,
     reps: &Dataset,
     backend: &ClassifyBackend,
@@ -155,17 +146,11 @@ pub fn nn_classify_parallel(
     reps: &Dataset,
     threads: Option<NonZeroUsize>,
 ) -> Vec<u32> {
-    match nn_classify_supervised(ds, reps, threads, &Supervisor::unlimited()) {
-        Ok(out) => out,
-        // Unreachable without fault injection: a fresh unlimited supervisor
-        // never stops cooperatively, and a genuine worker panic should keep
-        // panicking callers that did not opt into supervision.
-        Err(stop) => panic!("unsupervised classification stopped: {stop}"),
-    }
+    unsupervised("classification", |sup| nn_classify_supervised(ds, reps, threads, sup))
 }
 
 /// [`nn_classify_parallel`] under supervision: consults `sup` every
-/// [`CLASSIFY_TICK`] points and captures worker panics. On `Err` all
+/// `CLASSIFY_TICK` points and captures worker panics. On `Err` all
 /// partial output is discarded; on `Ok` the result is bit-for-bit the
 /// unsupervised one.
 ///
@@ -193,43 +178,19 @@ pub fn nn_classify_supervised(
     db_obs::gauge!("sampling.classify_threads").set(threads as i64);
     let backend = ClassifyBackend::new(reps);
     let mut out = vec![0u32; ds.len()];
-    if threads <= 1 {
-        classify_into(ds, reps, &backend, 0, &mut out, sup)?;
-    } else {
-        // Worker time links back into the parent span (it lands in the
-        // parent's child-time, not self-time) and workers record under
-        // the parent's trace run id. Each body runs under panic capture so
-        // one bad block surfaces as `Stop::Panicked`, not a process abort.
-        let parent = span.handle();
-        let chunk = ds.len().div_ceil(threads);
-        let mut results: Vec<Result<(), Stop>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(t, slice)| {
-                    let backend = &backend;
-                    let parent = &parent;
-                    scope.spawn(move || {
-                        catch_shared(|| {
-                            let _s = db_obs::span_linked!("sampling.classify_chunk", parent);
-                            fault::inject("classify.worker", sup.token());
-                            classify_into(ds, reps, backend, t * chunk, slice, sup)
-                        })
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // `catch_shared` already converted panics, so join only
-                // fails on a panic *outside* the capture (e.g. in the span
-                // destructor); fold that in rather than unwinding.
-                results.push(handle.join().unwrap_or_else(|payload| {
-                    Err(Stop::Panicked { message: panic_message(payload.as_ref()) })
-                }));
-            }
-        });
-        first_stop(results)?;
-    }
+    // Worker time links back into the parent span (it lands in the
+    // parent's child-time, not self-time) and workers record under the
+    // parent's trace run id.
+    let parent = span.handle();
+    run_blocks(
+        &mut out,
+        ds.len().div_ceil(threads),
+        threads,
+        sup,
+        "classify.worker",
+        || db_obs::span_linked!("sampling.classify_chunk", &parent),
+        |first, slice| classify_into(ds, reps, &backend, first, slice, sup),
+    )?;
     db_obs::counter!("sampling.points_classified").add(out.len() as u64);
     Ok(out)
 }
@@ -237,7 +198,7 @@ pub fn nn_classify_supervised(
 /// Fixed block length for statistics accumulation: independent of the
 /// thread count (determinism) and bounded in block *count* so the partial
 /// `Vec<Cf>`s stay small even for huge datasets.
-pub(crate) fn stats_block_len(n: usize) -> usize {
+fn stats_block_len(n: usize) -> usize {
     n.div_ceil(64).max(4096)
 }
 
@@ -256,14 +217,11 @@ pub fn accumulate_stats_parallel(
     k: usize,
     threads: Option<NonZeroUsize>,
 ) -> Vec<Cf> {
-    match accumulate_stats_supervised(ds, assignment, k, threads, &Supervisor::unlimited()) {
-        Ok(stats) => stats,
-        Err(stop) => panic!("unsupervised accumulation stopped: {stop}"),
-    }
+    unsupervised("accumulation", |sup| accumulate_stats_supervised(ds, assignment, k, threads, sup))
 }
 
 /// [`accumulate_stats_parallel`] under supervision: consults `sup` every
-/// [`STATS_TICK`] points and captures worker panics; per-block partials
+/// `STATS_TICK` points and captures worker panics; per-block partials
 /// are discarded wholesale on `Err`, so no partially-merged statistics
 /// escape. On `Ok` the result is bit-for-bit the unsupervised one.
 ///
@@ -287,59 +245,29 @@ pub fn accumulate_stats_supervised(
     let n_blocks = ds.len().div_ceil(block).max(1);
     let threads = resolve_threads(threads, n_blocks);
 
-    let accumulate_block = |b: usize| -> Result<Vec<Cf>, Stop> {
-        let mut ticker = Ticker::new(sup, STATS_TICK);
-        let lo = b * block;
-        let hi = (lo + block).min(ds.len());
-        let mut stats = vec![Cf::empty(ds.dim()); k];
-        for i in lo..hi {
-            ticker.tick()?;
-            stats[assignment[i] as usize].add_point(ds.point(i));
-        }
-        Ok(stats)
-    };
-
-    let mut partials: Vec<Vec<Cf>> = Vec::with_capacity(n_blocks);
-    if threads <= 1 {
-        for b in 0..n_blocks {
-            partials.push(accumulate_block(b)?);
-        }
-    } else {
-        partials.resize(n_blocks, Vec::new());
-        // Each block lands in its own pre-assigned slot, so the subsequent
-        // in-order merge is independent of the thread schedule. Worker
-        // bodies run under panic capture; their outcomes merge via
-        // `first_stop` (a captured panic outranks a cooperative stop).
-        let parent = span.handle();
-        let per_thread = n_blocks.div_ceil(threads);
-        let accumulate_block = &accumulate_block;
-        let mut results: Vec<Result<(), Stop>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = partials
-                .chunks_mut(per_thread)
-                .enumerate()
-                .map(|(t, slots)| {
-                    let parent = &parent;
-                    scope.spawn(move || {
-                        catch_shared(|| {
-                            let _s = db_obs::span_linked!("sampling.accumulate_chunk", parent);
-                            fault::inject("stats.worker", sup.token());
-                            for (j, slot) in slots.iter_mut().enumerate() {
-                                *slot = accumulate_block(t * per_thread + j)?;
-                            }
-                            Ok(())
-                        })
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.push(handle.join().unwrap_or_else(|payload| {
-                    Err(Stop::Panicked { message: panic_message(payload.as_ref()) })
-                }));
+    // Each block lands in its own pre-assigned slot, so the subsequent
+    // in-order merge is independent of the thread schedule.
+    let mut partials: Vec<Vec<Cf>> = vec![Vec::new(); n_blocks];
+    let parent = span.handle();
+    run_blocks(
+        &mut partials,
+        n_blocks.div_ceil(threads),
+        threads,
+        sup,
+        "stats.worker",
+        || db_obs::span_linked!("sampling.accumulate_chunk", &parent),
+        |first, slots| {
+            for (b, stats) in (first..).zip(slots) {
+                let mut ticker = Ticker::new(sup, STATS_TICK);
+                *stats = vec![Cf::empty(ds.dim()); k];
+                for i in b * block..((b + 1) * block).min(ds.len()) {
+                    ticker.tick()?;
+                    stats[assignment[i] as usize].add_point(ds.point(i));
+                }
             }
-        });
-        first_stop(results)?;
-    }
+            Ok(())
+        },
+    )?;
 
     // Merge in block order (stable Chan–Golub–LeVeque merge via AddAssign):
     // the fold order is fixed by the block layout, never by the schedule.
@@ -404,27 +332,6 @@ mod tests {
         let ds = data(10);
         let reps = Dataset::new(2).unwrap();
         nn_classify_parallel(&ds, &reps, None);
-    }
-
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn both_paths_emit_identical_metrics() {
-        // The <1024-point sequential fallback must leave the same span and
-        // counter trail as the threaded path (satellite bugfix: the
-        // fallback used to skip `sampling.nn_classify` instrumentation).
-        let reps_small = data(1_200).subset(&[0, 600]);
-        let names = |n: usize, t: Option<NonZeroUsize>| {
-            db_obs::reset();
-            let ds = data(n);
-            nn_classify_parallel(&ds, &reps_small, t);
-            let snap = db_obs::snapshot();
-            assert_eq!(snap.counter("sampling.points_classified"), Some(n as u64));
-            assert!(snap.span("sampling.nn_classify").is_some(), "span missing (n = {n})");
-            snap
-        };
-        names(100, NonZeroUsize::new(4)); // sequential fallback
-        names(2_000, NonZeroUsize::new(2)); // threaded path
-        names(2_000, NonZeroUsize::new(1)); // explicit single thread
     }
 
     #[test]

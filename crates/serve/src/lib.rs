@@ -9,7 +9,7 @@
 //!
 //! * it owns a live [`db_sampling::IncrementalCompression`];
 //! * batched inserts go through the *fallible* absorb boundary
-//!   ([`IncrementalCompression::try_absorb_all`]) — a NaN point is a typed
+//!   ([`db_sampling::IncrementalCompression::try_absorb_all`]) — a NaN point is a typed
 //!   rejection, never a corrupted representative;
 //! * queries are answered from a cached [`Artifact`] (cluster ordering +
 //!   single-link bubble labels) via one NN lookup, never blocking on a
@@ -21,9 +21,10 @@
 //!   the representatives and their statistics (O(k) under the ingest
 //!   lock), runs only the bubble-OPTICS clustering step (no expansion of
 //!   the absorbed objects), and cuts single-link labels in O(k²) from the
-//!   distance matrix that step built. It runs under a [`RunBudget`] +
-//!   [`CancelToken`] from `db-supervise`; a forced recluster cancels the
-//!   in-flight one (typed [`PipelineError::Cancelled`], not a panic).
+//!   distance matrix that step built. It runs under a
+//!   [`db_supervise::RunBudget`] + [`db_supervise::CancelToken`]; a forced
+//!   recluster cancels the in-flight one (typed
+//!   [`data_bubbles::pipeline::PipelineError::Cancelled`], not a panic).
 //!
 //! [`routes::service_response`] exposes the whole thing over the hardened
 //! `db-obsd` HTTP layer (`POST /ingest`, `GET /label`, `GET /ordering`,

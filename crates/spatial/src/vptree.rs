@@ -12,7 +12,7 @@
 //! closure, which must be a metric (symmetry + triangle inequality —
 //! pruning is unsound otherwise). Floating-point *rounding* of a true
 //! metric is tolerated: pruning bounds carry a small relative slack
-//! ([`PRUNE_SLACK`]) so triangle-inequality violations of a few ulps —
+//! (`PRUNE_SLACK`) so triangle-inequality violations of a few ulps —
 //! inevitable when distances are `fl(√Σd²)` from the coordinate kernels —
 //! never drop a true result. `tests/vptree_ulp.rs` pins this.
 

@@ -149,14 +149,15 @@ pub fn inject(phase: &str, token: &CancelToken) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// The spec is process-global; these tests serialize on one lock.
+    /// The spec is process-global; every test in this crate that installs
+    /// one serializes on this lock.
     static LOCK: Mutex<()> = Mutex::new(());
 
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn guard() -> std::sync::MutexGuard<'static, ()> {
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 

@@ -12,13 +12,16 @@
 //!   [`RunBudget::max_matrix_bytes`] cap on the precomputed
 //!   bubble-distance matrix.
 //! * [`Supervisor`] — a token + armed deadline; [`Supervisor::check`] is
-//!   the cooperative stop point.
+//!   the cooperative stop point, and [`Supervisor::elapsed`] is the run's
+//!   one clock (phase timings are differences of it).
 //! * [`Ticker`] — amortizes `check` to one shared-state read every `N`
 //!   items so hot loops pay a local integer decrement per item.
 //! * [`Stop`] — why a phase stopped early: cancelled, over deadline, or a
 //!   captured worker panic.
-//! * [`catch`] / [`panic_message`] — wrap a worker body so a panic
-//!   surfaces as [`Stop::Panicked`] instead of unwinding across the scope.
+//! * [`run_blocks`] / [`resolve_threads`] — the one scoped-worker
+//!   lifecycle; a worker panic surfaces as [`Stop::Panicked`].
+//! * [`unsupervised`] — the body of every panicking convenience entry
+//!   point: an unlimited supervisor, and a panic naming the phase on a stop.
 //! * [`fault`] — env-gated fault injection (`DB_FAULT=<phase>:<action>`)
 //!   for chaos testing.
 //!
@@ -39,7 +42,8 @@
 pub mod fault;
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe, UnwindSafe};
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,12 +94,6 @@ impl RunBudget {
     /// A budget with only a wall-clock deadline.
     pub fn with_deadline(deadline: Duration) -> Self {
         Self { deadline: Some(deadline), max_matrix_bytes: None }
-    }
-
-    /// Whether nothing is bounded (supervision checks stay trivially Ok
-    /// unless the token is cancelled).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_matrix_bytes.is_none()
     }
 }
 
@@ -211,10 +209,88 @@ impl<'a> Ticker<'a> {
     }
 }
 
+/// Resolves a thread-count knob: `None` means available parallelism, and
+/// the result is clamped to `[1, work_items]`.
+pub fn resolve_threads(threads: Option<NonZeroUsize>, work_items: usize) -> usize {
+    threads
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, NonZeroUsize::get)
+        .min(work_items.max(1))
+}
+
+/// Runs `work(first, chunk)` over contiguous chunks of `per_worker`
+/// items, one scoped worker thread per chunk; `first` is the index of the
+/// chunk's first item. Each worker holds the guard `worker_span()` returns,
+/// fires `fault_point`, and runs `work` under panic capture. All workers
+/// are joined before their outcomes merge: a panic outranks a cooperative
+/// stop, otherwise the first stop in chunk order wins. With
+/// `threads <= 1` it is `work(0, items)` inline: no thread, no span, no
+/// fault point.
+///
+/// # Errors
+///
+/// The [`Stop`] a chunk returned, or [`Stop::Panicked`] for a chunk that
+/// panicked.
+pub fn run_blocks<T: Send, G>(
+    items: &mut [T],
+    per_worker: usize,
+    threads: usize,
+    sup: &Supervisor,
+    fault_point: &str,
+    worker_span: impl Fn() -> G + Sync,
+    work: impl Fn(usize, &mut [T]) -> Result<(), Stop> + Sync,
+) -> Result<(), Stop> {
+    if threads <= 1 {
+        return work(0, items);
+    }
+    let per_worker = per_worker.max(1);
+    let (worker_span, work) = (&worker_span, &work);
+    let results: Vec<Result<(), Stop>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks_mut(per_worker)
+            .enumerate()
+            .map(|(t, chunk)| {
+                scope.spawn(move || {
+                    catch_shared(|| {
+                        let _span = worker_span();
+                        fault::inject(fault_point, sup.token());
+                        work(t * per_worker, chunk)
+                    })
+                })
+            })
+            .collect();
+        // A join fails only if the capture itself unwound; fold that in.
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle.join().unwrap_or_else(|payload| {
+                    Err(Stop::Panicked { message: panic_message(payload.as_ref()) })
+                })
+            })
+            .collect()
+    });
+    first_stop(results)
+}
+
+/// Runs `body` under a fresh unlimited [`Supervisor`] and returns its
+/// value. Such a supervisor never stops cooperatively, so a stop means an
+/// injected fault or a worker panic; it panics for callers that did not
+/// opt into supervision.
+///
+/// # Panics
+///
+/// Panics with `unsupervised <phase> stopped: <stop>` when `body` stops.
+pub fn unsupervised<T>(phase: &str, body: impl FnOnce(&Supervisor) -> Result<T, Stop>) -> T {
+    match body(&Supervisor::unlimited()) {
+        Ok(value) => value,
+        Err(stop) => panic!("unsupervised {phase} stopped: {stop}"),
+    }
+}
+
 /// Renders a panic payload (from [`catch_unwind`] or `JoinHandle::join`)
 /// as text: the `&str` / `String` payloads `panic!` produces, or a
 /// placeholder for exotic payload types.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -224,21 +300,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f`, converting a panic into [`Stop::Panicked`] so worker bodies
-/// never unwind across a thread scope. The closure's partial effects are
-/// confined to state it owns; callers discard per-worker buffers on `Err`.
-pub fn catch<T>(f: impl FnOnce() -> Result<T, Stop> + UnwindSafe) -> Result<T, Stop> {
-    match catch_unwind(f) {
-        Ok(r) => r,
-        Err(payload) => Err(Stop::Panicked { message: panic_message(payload.as_ref()) }),
-    }
-}
-
-/// [`catch`] for closures borrowing shared state (the common scoped-worker
-/// shape). The caller asserts unwind safety: every supervised worker in
-/// this workspace writes only into its own pre-assigned output slots,
-/// which are discarded wholesale when any worker fails.
-pub fn catch_shared<T>(f: impl FnOnce() -> Result<T, Stop>) -> Result<T, Stop> {
+/// Runs `f`, converting a panic into [`Stop::Panicked`] so a worker body
+/// never unwinds across the thread scope. Unwind safety is asserted:
+/// every worker writes only into its own chunk of [`run_blocks`]'s items,
+/// which the caller discards wholesale when any worker fails.
+fn catch_shared<T>(f: impl FnOnce() -> Result<T, Stop>) -> Result<T, Stop> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(r) => r,
         Err(payload) => Err(Stop::Panicked { message: panic_message(payload.as_ref()) }),
@@ -248,7 +314,7 @@ pub fn catch_shared<T>(f: impl FnOnce() -> Result<T, Stop>) -> Result<T, Stop> {
 /// Merges per-worker outcomes: a captured panic anywhere wins (it is the
 /// most severe and must not be masked by a cooperative stop that other
 /// workers reported), otherwise the first error in worker order.
-pub fn first_stop<I: IntoIterator<Item = Result<(), Stop>>>(slots: I) -> Result<(), Stop> {
+fn first_stop<I: IntoIterator<Item = Result<(), Stop>>>(slots: I) -> Result<(), Stop> {
     let mut first_err: Option<Stop> = None;
     for slot in slots {
         match slot {
@@ -334,9 +400,9 @@ mod tests {
 
     #[test]
     fn catch_converts_panics_to_stop() {
-        assert_eq!(catch(|| Ok(7)), Ok(7));
-        assert_eq!(catch::<()>(|| Err(Stop::Cancelled)), Err(Stop::Cancelled));
-        let err = catch::<()>(|| panic!("boom in worker")).unwrap_err();
+        assert_eq!(catch_shared(|| Ok(7)), Ok(7));
+        assert_eq!(catch_shared::<()>(|| Err(Stop::Cancelled)), Err(Stop::Cancelled));
+        let err = catch_shared::<()>(|| panic!("boom in worker")).unwrap_err();
         assert_eq!(err, Stop::Panicked { message: "boom in worker".into() });
         let err = catch_shared::<()>(|| panic!("{}", format_args!("fmt {}", 3))).unwrap_err();
         assert_eq!(err, Stop::Panicked { message: "fmt 3".into() });
@@ -362,11 +428,87 @@ mod tests {
 
     #[test]
     fn budget_constructors() {
-        assert!(RunBudget::default().is_unlimited());
-        assert!(RunBudget::unlimited().is_unlimited());
+        assert_eq!(RunBudget::unlimited(), RunBudget::default());
         let b = RunBudget::with_deadline(Duration::from_secs(1));
-        assert!(!b.is_unlimited());
         assert_eq!(b.deadline, Some(Duration::from_secs(1)));
         assert_eq!(b.max_matrix_bytes, None);
+    }
+
+    /// Spans are opaque to `run_blocks`; the tests hold a unit guard.
+    fn no_span() {}
+
+    #[test]
+    fn resolve_threads_clamps_to_the_work() {
+        assert_eq!(resolve_threads(NonZeroUsize::new(8), 3), 3);
+        assert_eq!(resolve_threads(NonZeroUsize::new(2), 100), 2);
+        assert_eq!(resolve_threads(NonZeroUsize::new(4), 0), 1);
+        assert!(resolve_threads(None, usize::MAX) >= 1);
+    }
+
+    #[test]
+    fn inline_path_fires_no_fault_point() {
+        let _g = fault::tests::guard();
+        fault::set_spec(Some("blocks.inline:panic"));
+        let sup = Supervisor::unlimited();
+        let mut items = [0u8; 4];
+        let inline = run_blocks(&mut items, 2, 1, &sup, "blocks.inline", no_span, |first, c| {
+            assert_eq!((first, c.len()), (0, 4), "one inline call over every item");
+            Ok(())
+        });
+        // The same point does fire once workers are spawned.
+        let spawned = run_blocks(&mut items, 2, 2, &sup, "blocks.inline", no_span, |_, _| Ok(()));
+        fault::set_spec(None);
+        assert_eq!(inline, Ok(()));
+        assert_eq!(
+            spawned,
+            Err(Stop::Panicked { message: "injected fault: panic at blocks.inline".into() })
+        );
+    }
+
+    #[test]
+    fn uneven_split_covers_every_item_exactly_once() {
+        let sup = Supervisor::unlimited();
+        let mut items = [0u32; 10];
+        let firsts = std::sync::Mutex::new(Vec::new());
+        let out = run_blocks(&mut items, 3, 4, &sup, "blocks.split", no_span, |first, chunk| {
+            firsts.lock().unwrap().push(first);
+            for (j, item) in chunk.iter_mut().enumerate() {
+                *item += (first + j) as u32 + 1;
+            }
+            Ok(())
+        });
+        assert_eq!(out, Ok(()));
+        let mut firsts = firsts.into_inner().unwrap();
+        firsts.sort_unstable();
+        assert_eq!(firsts, [0, 3, 6, 9]);
+        assert_eq!(items, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+    }
+
+    #[test]
+    fn a_panicking_chunk_outranks_a_cancelled_one() {
+        let sup = Supervisor::unlimited();
+        let mut items = [(); 2];
+        let out = run_blocks(&mut items, 1, 2, &sup, "blocks.rank", no_span, |first, _| {
+            if first == 0 {
+                Err(Stop::Cancelled)
+            } else {
+                panic!("chunk {first} failed")
+            }
+        });
+        assert_eq!(out, Err(Stop::Panicked { message: "chunk 1 failed".into() }));
+    }
+
+    #[test]
+    fn unsupervised_returns_the_value_and_panics_naming_the_phase() {
+        assert_eq!(unsupervised("ok", |sup| sup.check().map(|()| 7)), 7);
+        let payload = catch_unwind(|| {
+            unsupervised::<()>("matrix build", |sup| {
+                sup.token().cancel();
+                sup.check()
+            })
+        })
+        .unwrap_err();
+        let message = panic_message(payload.as_ref());
+        assert!(message.starts_with("unsupervised matrix build stopped:"), "message: {message}");
     }
 }
