@@ -22,7 +22,7 @@ use db_birch::Cf;
 use db_optics::{optics, ClusterOrdering};
 use db_rng::Rng;
 use db_spatial::io::{read_csv_from, CsvError, CsvOptions};
-use db_spatial::{auto_index, id_u32, Dataset, SpatialIndex};
+use db_spatial::{auto_index, id_u32, Dataset, NnTally, SpatialIndex};
 use db_supervise::Supervisor;
 
 use crate::bubble::DataBubble;
@@ -202,7 +202,9 @@ pub fn run_external(
     let mut stats = vec![Cf::empty(dim); cfg.k];
     let mut assignment: Vec<u32> = Vec::with_capacity(rows);
     let mut offsets: Vec<u64> = Vec::with_capacity(rows);
-    stream_rows(input, &cfg.csv, |_, offset, line| {
+    // One tally for the stream, flushed once whether or not it finishes.
+    let mut tally = NnTally::default();
+    let streamed = stream_rows(input, &cfg.csv, |_, offset, line| {
         parse_row(line, &cfg.csv, &mut coords)?;
         if coords.len() != dim {
             return Err(ExternalError::Csv(CsvError::RaggedRow {
@@ -213,14 +215,16 @@ pub fn run_external(
         }
         // `reps` holds exactly `cfg.k >= 1` points, so a nearest
         // neighbour always exists.
-        let Some(nn) = index.nearest(&reps, &coords) else {
+        let Some(nn) = index.nearest_tallied(&reps, &coords, &mut tally) else {
             return Err(ExternalError::NotEnoughRows { rows: 0, k: cfg.k });
         };
         stats[nn.id].add_point(&coords);
         assignment.push(id_u32(nn.id));
         offsets.push(offset);
         Ok(())
-    })?;
+    });
+    tally.flush();
+    streamed?;
     let compression = clock.elapsed();
 
     // ----------------------------------------------------- OPTICS step

@@ -16,7 +16,10 @@
 //! pipeline phase that does ~20k arithmetic ops per instrumented chunk)
 //! and asserts the instrumented/bare ratio stays under 1.05 whenever
 //! per-event recording is not active: with metrics compiled off, and
-//! with tracing compiled in but runtime-disabled (`DB_TRACE` unset).
+//! with tracing compiled in but runtime-disabled (`DB_TRACE` unset). It
+//! runs on one thread and again on two, each thread bumping the same
+//! counters once per chunk, so the cost of counter cache lines moving
+//! between cores is inside the bound too.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -103,6 +106,44 @@ fn measure_workload(chunks: u64, f: impl Fn(u64) -> u64) -> f64 {
     runs[3]
 }
 
+/// One chunk with the guarded instrumentation around it: a span, a
+/// counter bump and a trace instant.
+fn instrumented_chunk(seed: u64) -> u64 {
+    let _span = db_obs::span!("bench.workload_chunk");
+    db_obs::counter!("bench.workload_items").add(1);
+    db_obs::trace_instant!("bench.workload_mark", "chunk", seed & 0xff);
+    chunk(seed)
+}
+
+/// Median-of-7 seconds for two threads each evaluating `chunks` chunks of
+/// `f`, bare and instrumented alternating so host drift hits both alike.
+/// Returns `(bare, instrumented)`.
+fn measure_two_threads(chunks: u64) -> (f64, f64) {
+    let run = |f: fn(u64) -> u64| {
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                s.spawn(move || {
+                    let mut acc = t;
+                    for c in 0..chunks {
+                        acc = f(black_box(acc ^ c));
+                    }
+                    black_box(acc)
+                });
+            }
+        });
+        start.elapsed().as_secs_f64()
+    };
+    let (mut bare, mut instrumented) = (Vec::new(), Vec::new());
+    for _ in 0..7 {
+        bare.push(run(chunk));
+        instrumented.push(run(instrumented_chunk));
+    }
+    bare.sort_by(f64::total_cmp);
+    instrumented.sort_by(f64::total_cmp);
+    (bare[3], instrumented[3])
+}
+
 /// Asserts the instrumented workload is within 5% of the bare one when no
 /// per-event recording is active. With tracing compiled in, recording
 /// stays runtime-disabled here (the bench never sets `DB_TRACE` or calls
@@ -119,13 +160,10 @@ fn workload_guard() {
     }
 
     let bare = measure_workload(CHUNKS, chunk);
-    let instrumented = measure_workload(CHUNKS, |seed| {
-        let _span = db_obs::span!("bench.workload_chunk");
-        db_obs::counter!("bench.workload_items").add(1);
-        db_obs::trace_instant!("bench.workload_mark", "chunk", seed & 0xff);
-        chunk(seed)
-    });
+    let instrumented = measure_workload(CHUNKS, instrumented_chunk);
     let ratio = instrumented / bare;
+    let (bare2, instrumented2) = measure_two_threads(CHUNKS);
+    let ratio2 = instrumented2 / bare2;
 
     let tracing_mode = if cfg!(feature = "tracing") {
         "tracing compiled in, runtime-disabled"
@@ -137,14 +175,24 @@ fn workload_guard() {
     println!("workload ({tracing_mode}), median of 7 x {CHUNKS} chunks:");
     println!("  bare               {:8.4} s", bare);
     println!("  instrumented       {:8.4} s (ratio {ratio:.4})", instrumented);
+    println!("two threads, median of 7 x {CHUNKS} chunks per thread:");
+    println!("  bare               {:8.4} s", bare2);
+    println!("  instrumented       {:8.4} s (ratio {ratio2:.4})", instrumented2);
 
     let recording = cfg!(feature = "tracing") && db_obs::trace::enabled();
     if !recording {
-        assert!(
-            ratio <= 1.05,
-            "instrumented/bare ratio {ratio:.4} exceeds 1.05 with recording inactive"
+        for (threads, ratio) in [(1, ratio), (2, ratio2)] {
+            assert!(
+                ratio <= 1.05,
+                "{threads}-thread instrumented/bare ratio {ratio:.4} exceeds 1.05 with recording \
+                 inactive"
+            );
+        }
+        println!(
+            "guard passed: instrumentation overhead {:.2}% (1 thread), {:.2}% (2 threads) <= 5%",
+            (ratio - 1.0) * 100.0,
+            (ratio2 - 1.0) * 100.0
         );
-        println!("guard passed: instrumentation overhead {:.2}% <= 5%", (ratio - 1.0) * 100.0);
     }
 
     supervision_guard(bare);

@@ -22,7 +22,7 @@
 //! validated input only.
 
 use db_birch::Cf;
-use db_spatial::{auto_index, id_u32, AnyIndex, Dataset, SpatialError, SpatialIndex};
+use db_spatial::{auto_index, id_u32, AnyIndex, Dataset, NnTally, SpatialError, SpatialIndex};
 
 use crate::CompressedSample;
 
@@ -124,10 +124,11 @@ impl IncrementalCompression {
         Ok(())
     }
 
-    /// Absorbs the (already validated) point. Internal: callers must have
-    /// run [`Self::check_point`] and [`Self::check_capacity`] first.
-    fn absorb_unchecked(&mut self, point: &[f64]) -> usize {
-        let nn = self.index.nearest(&self.reps, point).expect("reps non-empty");
+    /// Absorbs the (already validated) point, tallying its query into
+    /// `tally`. Internal: callers must have run [`Self::check_point`] and
+    /// [`Self::check_capacity`] first, and flush `tally` afterwards.
+    fn absorb_unchecked(&mut self, point: &[f64], tally: &mut NnTally) -> usize {
+        let nn = self.index.nearest_tallied(&self.reps, point, tally).expect("reps non-empty");
         self.stats[nn.id].add_point(point);
         self.assignment.push(id_u32(nn.id));
         self.absorbed += 1;
@@ -152,7 +153,10 @@ impl IncrementalCompression {
     pub fn try_absorb(&mut self, point: &[f64]) -> Result<usize, SpatialError> {
         self.check_point(point)?;
         self.check_capacity(1)?;
-        Ok(self.absorb_unchecked(point))
+        let mut tally = NnTally::default();
+        let rep = self.absorb_unchecked(point, &mut tally);
+        tally.flush();
+        Ok(rep)
     }
 
     /// Absorbs a batch of objects atomically: the whole batch is validated
@@ -182,7 +186,11 @@ impl IncrementalCompression {
                 return Err(SpatialError::NonFiniteCoordinate { point: self.absorbed + i, coord });
             }
         }
-        Ok(ds.iter().map(|p| self.absorb_unchecked(p)).collect())
+        // One tally for the batch, flushed once.
+        let mut tally = NnTally::default();
+        let reps = ds.iter().map(|p| self.absorb_unchecked(p, &mut tally)).collect();
+        tally.flush();
+        Ok(reps)
     }
 
     /// Absorbs one new object. **Validated input only** — thin wrapper

@@ -259,8 +259,8 @@ pub fn compress_by_sampling_supervised(
 /// Classifies every point of `ds` to its nearest point in `reps`
 /// (1-NN classification; ties broken by lower representative index).
 ///
-/// Small representative sets (≤ [`parallel::NN_KERNEL_MAX_REPS`], the
-/// paper's operating point) go through the batched distance kernel —
+/// Small representative sets (≤ [`parallel::NN_KERNEL_MAX_REPS`]) go
+/// through the batched distance kernel —
 /// whole query blocks against the flat representative block, comparing in
 /// squared space with zero square roots — larger ones through a spatial
 /// index; the two routes are bit-for-bit identical.

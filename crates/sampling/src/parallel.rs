@@ -27,19 +27,29 @@
 use std::num::NonZeroUsize;
 
 use db_birch::Cf;
-use db_spatial::{auto_index, id_u32, kernels, AnyIndex, Dataset, SpatialIndex};
+use db_spatial::{auto_index, id_u32, kernels, AnyIndex, Dataset, NnTally, SpatialIndex};
 use db_supervise::{resolve_threads, run_blocks, unsupervised, Stop, Supervisor, Ticker};
 
 /// Largest representative set classified through the batched brute-force
-/// kernel ([`kernels::nn_block`]) instead of a spatial index. At the
-/// paper's operating point (k in the low hundreds) the dense O(n·k) kernel
-/// beats index traversal: it streams the flat representative block through
-/// cache with zero pointer chasing and zero square roots, while an index
-/// query pays tree/bound overhead per point to prune a set this small.
-/// Beyond this size the index's asymptotics win. Both backends are
-/// bit-for-bit identical (same canonical squared distances, same
-/// `(dist, id)` tie-break), pinned by `tests/kernel_equivalence.rs`.
-pub const NN_KERNEL_MAX_REPS: usize = 256;
+/// kernel ([`kernels::nn_block`]) instead of a spatial index. The dense
+/// O(n·k) kernel streams the flat representative block through cache with
+/// no pointer chasing and no square roots; the index's allocation-free
+/// 1-NN descent costs a few leaves per point whatever k is, so it wins
+/// once k outgrows a few leaves. Both backends are bit-for-bit identical
+/// (same canonical squared distances, same `(dist, id)` tie-break),
+/// pinned by `tests/kernel_equivalence.rs`, so the route is a pure
+/// performance choice.
+///
+/// Measured crossover, median of 7 classifications of 1M DS1 points
+/// (2-d) on 2 threads, 2-vCPU host, reps drawn at random, kernel → index:
+/// k = 64: 0.076 → 0.094 s; 96: 0.129 → 0.106 s; 128: 0.164 → 0.118 s;
+/// 256: 0.325 → 0.129 s; 512: 0.612 → 0.140 s. On 200k points of the
+/// 15-Gaussian family the index also wins at k = 128 (d = 5: 0.063 →
+/// 0.035 s; d = 16: 0.147 → 0.111 s) and the kernel at k = 64 in d = 16
+/// (0.076 → 0.086 s). The bound is 128, not the 64–96 crossover of the
+/// DS1 numbers, so that the tests pinning the kernel route with 100 and
+/// 120 representatives keep exercising it.
+pub const NN_KERNEL_MAX_REPS: usize = 128;
 
 /// Query rows per kernel pass of the batched backend: the query tile and
 /// its squared-distance buffer stay stack/L1-resident while the rep block
@@ -120,14 +130,20 @@ fn classify_into(
             db_obs::counter!("spatial.dist_evals").add(n as u64 * reps.len() as u64);
         }
         ClassifyBackend::Index(index) => {
-            for (i, slot) in out.iter_mut().enumerate() {
+            // One tally per chunk, flushed whether or not the chunk
+            // finishes: the per-point loop writes no shared memory.
+            let mut tally = NnTally::default();
+            let done = out.iter_mut().enumerate().try_for_each(|(i, slot)| {
                 ticker.tick()?;
                 let p = ds.point(offset + i);
-                let nn = index.nearest(reps, p).expect("reps non-empty");
+                let nn = index.nearest_tallied(reps, p, &mut tally).expect("reps non-empty");
                 // Lossless: `Dataset` caps its length at
                 // `Dataset::MAX_POINTS` (u32 ids), enforced at ingest.
                 *slot = id_u32(nn.id);
-            }
+                Ok(())
+            });
+            tally.flush();
+            done?;
         }
     }
     Ok(())

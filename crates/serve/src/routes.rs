@@ -84,6 +84,11 @@ fn handle_ingest(svc: &BubbleService, req: &Request) -> Response {
             return Response::json(422, error_body("rejected", format!("point {i}: {e}")));
         }
     }
+    // The parsed document is several times the size of the batch. Free it
+    // before the absorb, so that it does not overlap the recluster the
+    // ingest may start: otherwise the process's peak heap depends on
+    // which thread runs first.
+    drop(doc);
     match svc.ingest(&batch) {
         Ok(receipt) => Response::json(
             200,

@@ -10,9 +10,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::dataset::Dataset;
-use crate::index::{sort_neighbors, Neighbor, SpatialIndex};
+use crate::index::{
+    scan_nearest, sort_neighbors, DfsStack, Neighbor, NnTally, SpatialIndex, MAX_TREE_DEPTH,
+};
 use crate::kernels;
 use crate::metric::{Euclidean, Metric, SquaredEuclidean};
+use crate::order::DistId;
 
 const LEAF_SIZE: usize = 16;
 
@@ -45,17 +48,36 @@ pub struct BallTree {
 
 impl BallTree {
     /// Builds the tree in O(n log n) distance computations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is deeper than the 1-NN descent's fixed stack,
+    /// which median splits rule out for any dataset.
     pub fn build(ds: &Dataset) -> Self {
         let n = ds.len();
         let mut ids: Vec<u32> = (0..n as u32).collect();
         let mut nodes = Vec::new();
         let mut balls = Vec::new();
+        let mut depth = 0;
         if n > 0 {
             nodes.push(Node::Leaf { start: 0, end: n as u32 });
             balls.push(Ball { center: vec![0.0; ds.dim()], radius: 0.0 });
-            build_rec(ds, &mut nodes, &mut balls, &mut ids, 0, 0, n);
+            depth = build_rec(ds, &mut nodes, &mut balls, &mut ids, 0, 0, n);
         }
+        assert!(depth <= MAX_TREE_DEPTH, "ball-tree depth {depth} exceeds {MAX_TREE_DEPTH}");
         Self { nodes, balls, ids, n, dim: ds.dim() }
+    }
+
+    /// Whether a node at lower-bound distance `min_d` cannot hold a point
+    /// that ties or beats `best`, the current worst (k-NN) or only (1-NN)
+    /// result. `best` holds a squared distance and `min_d` a true
+    /// lower-bound distance, whose sqrt round trip can inflate the square
+    /// by a few ulps — so nodes within that tolerance are still explored,
+    /// and exact-distance ties resolve as in the linear scan (lower ids
+    /// win).
+    #[inline]
+    fn beyond(min_d: f64, best: DistId) -> bool {
+        min_d * min_d > best.0 * (1.0 + 1e-9) + f64::MIN_POSITIVE
     }
 
     /// Lower bound on the distance from `q` to any point in node `i`.
@@ -68,6 +90,8 @@ impl BallTree {
     }
 }
 
+/// Builds the subtree at `node` over `ids[start..end]` and returns its
+/// depth in splits.
 fn build_rec(
     ds: &Dataset,
     nodes: &mut Vec<Node>,
@@ -76,7 +100,7 @@ fn build_rec(
     node: usize,
     start: usize,
     end: usize,
-) {
+) -> usize {
     // Bounding ball: centroid + max distance.
     let dim = ds.dim();
     let mut center = vec![0.0f64; dim];
@@ -100,7 +124,7 @@ fn build_rec(
 
     if len <= LEAF_SIZE || radius <= 0.0 {
         nodes[node] = Node::Leaf { start: start as u32, end: end as u32 };
-        return;
+        return 0;
     }
     // Split direction: farthest point from the centroid, then the point
     // farthest from it (approximate diameter).
@@ -136,8 +160,9 @@ fn build_rec(
     nodes.push(Node::Leaf { start: 0, end: 0 });
     balls.push(Ball { center: vec![0.0; dim], radius: 0.0 });
     nodes[node] = Node::Split { left };
-    build_rec(ds, nodes, balls, ids, left as usize, start, mid);
-    build_rec(ds, nodes, balls, ids, left as usize + 1, mid, end);
+    let l = build_rec(ds, nodes, balls, ids, left as usize, start, mid);
+    let r = build_rec(ds, nodes, balls, ids, left as usize + 1, mid, end);
+    1 + l.max(r)
 }
 
 impl SpatialIndex for BallTree {
@@ -222,16 +247,8 @@ impl SpatialIndex for BallTree {
         let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
         frontier.push(Reverse(Cand(0.0, 0)));
         while let Some(Reverse(Cand(min_d, node))) = frontier.pop() {
-            if best.len() == k {
-                // best stores squared distances; frontier stores true
-                // lower-bound distances, whose sqrt round-trip can inflate
-                // the square by a few ulps — keep exploring within that
-                // tolerance so exact-distance ties resolve identically to
-                // the linear scan (lower ids win).
-                let worst = best.peek().expect("non-empty").0;
-                if min_d * min_d > worst * (1.0 + 1e-9) + f64::MIN_POSITIVE {
-                    break;
-                }
+            if best.len() == k && Self::beyond(min_d, *best.peek().expect("non-empty")) {
+                break;
             }
             visited += 1;
             match self.nodes[node] {
@@ -275,6 +292,56 @@ impl SpatialIndex for BallTree {
             best.into_iter().map(|Cand(d2, id)| Neighbor::new(id, Euclidean.surrogate_to_dist(d2))),
         );
         sort_neighbors(out);
+    }
+
+    fn nearest_tallied(&self, ds: &Dataset, q: &[f64], tally: &mut NnTally) -> Option<Neighbor> {
+        assert_eq!(ds.len(), self.n, "index/dataset mismatch");
+        assert_eq!(q.len(), self.dim, "query dimensionality mismatch");
+        if self.n == 0 {
+            return None;
+        }
+        let flat = ds.as_flat();
+        let mut best = DistId::MAX;
+        let mut stack = DfsStack::root();
+        while let Some((mut node, min_d)) = stack.pop() {
+            if Self::beyond(min_d, best) {
+                tally.subtrees_pruned += 1;
+                continue;
+            }
+            // Descend into the child with the smaller bound first (the
+            // left one on ties); the other waits on the stack.
+            loop {
+                tally.nodes_visited += 1;
+                match self.nodes[node] {
+                    Node::Leaf { start, end } => {
+                        let ids = &self.ids[start as usize..end as usize];
+                        tally.dist_evals += ids.len() as u64;
+                        scan_nearest(q, flat, self.dim, ids, &mut best);
+                        break;
+                    }
+                    Node::Split { left } => {
+                        let right = left + 1;
+                        let (dl, dr) =
+                            (self.min_dist(left as usize, q), self.min_dist(right as usize, q));
+                        tally.sqrt_evals += 2;
+                        let ((near, dn), (far, df)) = if dr < dl {
+                            ((right, dr), (left, dl))
+                        } else {
+                            ((left, dl), (right, dr))
+                        };
+                        stack.push(far, df);
+                        if Self::beyond(dn, best) {
+                            tally.subtrees_pruned += 1;
+                            break;
+                        }
+                        node = near as usize;
+                    }
+                }
+            }
+        }
+        tally.queries += 1;
+        tally.sqrt_evals += 1;
+        Some(Neighbor::new(best.1, Euclidean.surrogate_to_dist(best.0)))
     }
 }
 

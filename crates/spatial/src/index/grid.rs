@@ -10,9 +10,10 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::dataset::Dataset;
-use crate::index::{sort_neighbors, Neighbor, SpatialIndex};
+use crate::index::{sort_neighbors, Neighbor, NnTally, SpatialIndex};
 use crate::kernels;
 use crate::metric::{Euclidean, Metric};
+use crate::order::DistId;
 
 /// Maximum dimensionality for which a grid is built; beyond this the 3^d
 /// neighbourhood enumeration dominates and a KD-tree should be used.
@@ -107,10 +108,11 @@ impl GridIndex {
     }
 
     /// Visits all points in cells intersecting the axis-aligned box of
-    /// half-width `radius` around `q`.
+    /// half-width `radius` around `q`. Allocates nothing: the cell
+    /// coordinates live in fixed arrays of [`MAX_GRID_DIM`] entries.
     fn visit_box(&self, q: &[f64], radius: f64, mut f: impl FnMut(u32)) {
-        let mut lo = vec![0i32; self.dim];
-        let mut hi = vec![0i32; self.dim];
+        let mut lo = [0i32; MAX_GRID_DIM];
+        let mut hi = [0i32; MAX_GRID_DIM];
         for j in 0..self.dim {
             lo[j] = (((q[j] - radius - self.origin[j]) / self.cell).floor() as i32)
                 .max(self.cell_lo[j]);
@@ -120,6 +122,7 @@ impl GridIndex {
                 return; // query box misses every occupied cell
             }
         }
+        let (lo, hi) = (&lo[..self.dim], &hi[..self.dim]);
         // A radius much larger than the cell width makes the box bigger
         // than the cell table itself (ε → ∞ degenerates to the full
         // occupied bounding box — (extent/cell)^d cells, almost all
@@ -128,13 +131,13 @@ impl GridIndex {
         // caller sorts results, so the hash-map order does not leak.
         let volume = lo
             .iter()
-            .zip(&hi)
+            .zip(hi)
             .try_fold(1u64, |v, (&l, &h)| v.checked_mul((h as i64 - l as i64 + 1) as u64));
         match volume {
             Some(v) if v as usize <= self.cells.len() => {}
             _ => {
                 for (key, ids) in &self.cells {
-                    if key.iter().zip(lo.iter().zip(&hi)).all(|(&k, (&l, &h))| l <= k && k <= h) {
+                    if key.iter().zip(lo.iter().zip(hi)).all(|(&k, (&l, &h))| l <= k && k <= h) {
                         for &id in ids {
                             f(id);
                         }
@@ -144,9 +147,11 @@ impl GridIndex {
             }
         }
         // Odometer enumeration of the integer box [lo, hi].
-        let mut cur = lo.clone();
+        let mut cur = [0i32; MAX_GRID_DIM];
+        let cur = &mut cur[..self.dim];
+        cur.copy_from_slice(lo);
         loop {
-            if let Some(ids) = self.cells.get(&cur) {
+            if let Some(ids) = self.cells.get(&*cur) {
                 for &id in ids {
                     f(id);
                 }
@@ -166,6 +171,34 @@ impl GridIndex {
             }
         }
     }
+
+    /// Calls `f(id, d²)` for every point in cells intersecting the box of
+    /// half-width `radius` around `q`, and returns how many there were.
+    /// Candidates are batched in a stack buffer and flushed through the
+    /// gathered kernel, so each costs one gather and one squared distance.
+    fn scan_box(&self, flat: &[f64], q: &[f64], radius: f64, mut f: impl FnMut(u32, f64)) -> u64 {
+        let mut ids = [0u32; GATHER_ROWS];
+        let mut d2s = [0.0f64; GATHER_ROWS];
+        let mut pending = 0usize;
+        let mut seen = 0u64;
+        let mut flush = |ids: &[u32], d2s: &mut [f64]| {
+            kernels::dists_to_indexed(q, flat, self.dim, ids, d2s);
+            for (&id, &d2) in ids.iter().zip(d2s.iter()) {
+                f(id, d2);
+            }
+            seen += ids.len() as u64;
+        };
+        self.visit_box(q, radius, |id| {
+            ids[pending] = id;
+            pending += 1;
+            if pending == GATHER_ROWS {
+                flush(&ids, &mut d2s);
+                pending = 0;
+            }
+        });
+        flush(&ids[..pending], &mut d2s[..pending]);
+        seen
+    }
 }
 
 impl SpatialIndex for GridIndex {
@@ -180,40 +213,14 @@ impl SpatialIndex for GridIndex {
         if self.n == 0 || eps.is_nan() || eps < 0.0 {
             return;
         }
-        // Candidates from cell enumeration are batched into a stack buffer
-        // and flushed through the gathered kernel, so the per-candidate
-        // cost is one gather + one squared distance (squared-surrogate
-        // convention: compare against ε², sqrt only reported results).
+        // Squared-surrogate convention: compare against ε², sqrt only
+        // reported results.
         let eps_sq = eps * eps;
-        let flat = ds.as_flat();
-        let dim = self.dim;
-        let mut ids = [0u32; GATHER_ROWS];
-        let mut d2s = [0.0f64; GATHER_ROWS];
-        let mut pending = 0usize;
-        let mut evals = 0u64;
-        self.visit_box(q, eps, |id| {
-            ids[pending] = id;
-            pending += 1;
-            if pending == GATHER_ROWS {
-                kernels::dists_to_indexed(q, flat, dim, &ids, &mut d2s);
-                for (&d2, &id) in d2s.iter().zip(&ids) {
-                    if d2 <= eps_sq {
-                        out.push(Neighbor::new(id as usize, Euclidean.surrogate_to_dist(d2)));
-                    }
-                }
-                evals += GATHER_ROWS as u64;
-                pending = 0;
+        let evals = self.scan_box(ds.as_flat(), q, eps, |id, d2| {
+            if d2 <= eps_sq {
+                out.push(Neighbor::new(id as usize, Euclidean.surrogate_to_dist(d2)));
             }
         });
-        if pending > 0 {
-            kernels::dists_to_indexed(q, flat, dim, &ids[..pending], &mut d2s[..pending]);
-            for (&d2, &id) in d2s[..pending].iter().zip(&ids[..pending]) {
-                if d2 <= eps_sq {
-                    out.push(Neighbor::new(id as usize, Euclidean.surrogate_to_dist(d2)));
-                }
-            }
-            evals += pending as u64;
-        }
         db_obs::counter!("spatial.range_queries").incr();
         db_obs::counter!("spatial.dist_evals").add(evals);
         db_obs::counter!("spatial.sqrt_evals").add(out.len() as u64);
@@ -232,34 +239,11 @@ impl SpatialIndex for GridIndex {
         // Grow the search radius ring by ring until the k-th candidate is
         // provably within the scanned box.
         let flat = ds.as_flat();
-        let dim = self.dim;
-        let mut ids = [0u32; GATHER_ROWS];
-        let mut d2s = [0.0f64; GATHER_ROWS];
         let mut radius = self.cell;
         let mut cands: Vec<Neighbor> = Vec::new();
         loop {
             cands.clear();
-            let mut pending = 0usize;
-            self.visit_box(q, radius, |id| {
-                ids[pending] = id;
-                pending += 1;
-                if pending == GATHER_ROWS {
-                    kernels::dists_to_indexed(q, flat, dim, &ids, &mut d2s);
-                    cands.extend(
-                        d2s.iter().zip(&ids).map(|(&d2, &id)| Neighbor::new(id as usize, d2)),
-                    );
-                    pending = 0;
-                }
-            });
-            if pending > 0 {
-                kernels::dists_to_indexed(q, flat, dim, &ids[..pending], &mut d2s[..pending]);
-                cands.extend(
-                    d2s[..pending]
-                        .iter()
-                        .zip(&ids[..pending])
-                        .map(|(&d2, &id)| Neighbor::new(id as usize, d2)),
-                );
-            }
+            self.scan_box(flat, q, radius, |id, d2| cands.push(Neighbor::new(id as usize, d2)));
             db_obs::counter!("spatial.dist_evals").add(cands.len() as u64);
             if cands.len() >= k {
                 cands.select_nth_unstable_by(k - 1, |a, b| {
@@ -299,6 +283,41 @@ impl SpatialIndex for GridIndex {
                 out.extend_from_slice(&cands);
                 return;
             }
+        }
+    }
+
+    fn nearest_tallied(&self, ds: &Dataset, q: &[f64], tally: &mut NnTally) -> Option<Neighbor> {
+        assert_eq!(ds.len(), self.n, "index/dataset mismatch");
+        assert_eq!(q.len(), self.dim, "query dimensionality mismatch");
+        if self.n == 0 {
+            return None;
+        }
+        tally.queries += 1;
+        // `knn`'s ring growth with a running `(d², id)` minimum in place
+        // of the candidate list.
+        let flat = ds.as_flat();
+        let mut radius = self.cell;
+        loop {
+            let mut best = DistId::MAX;
+            let seen = self.scan_box(flat, q, radius, |id, d2| {
+                let cand = DistId(d2, id as usize);
+                if cand < best {
+                    best = cand;
+                }
+            });
+            tally.dist_evals += seen;
+            if seen == 0 {
+                radius *= 2.0;
+                continue;
+            }
+            let dist = Euclidean.surrogate_to_dist(best.0);
+            tally.sqrt_evals += 1;
+            // Every unscanned point is farther than `radius` from q; once
+            // the box covers everything, the minimum is final too.
+            if dist <= radius || seen == self.n as u64 {
+                return Some(Neighbor::new(best.1, dist));
+            }
+            radius = dist.max(radius * 2.0);
         }
     }
 }

@@ -9,9 +9,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::dataset::Dataset;
-use crate::index::{sort_neighbors, Neighbor, SpatialIndex};
+use crate::index::{
+    scan_nearest, sort_neighbors, DfsStack, Neighbor, NnTally, SpatialIndex, MAX_TREE_DEPTH,
+};
 use crate::kernels;
 use crate::metric::{Euclidean, Metric};
+use crate::order::DistId;
 
 const LEAF_SIZE: usize = 16;
 
@@ -46,17 +49,26 @@ pub struct KdTree {
 
 impl KdTree {
     /// Builds the tree in O(n log² n).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is deeper than the 1-NN descent's fixed stack,
+    /// which median splits rule out for any dataset.
     pub fn build(ds: &Dataset) -> Self {
         let n = ds.len();
         let mut ids: Vec<u32> = (0..n as u32).collect();
         let mut nodes = Vec::with_capacity((2 * n / LEAF_SIZE).max(1));
+        let mut depth = 0;
         if n > 0 {
             nodes.push(Node::Leaf { start: 0, end: n as u32 }); // placeholder root
-            Self::build_rec(ds, &mut nodes, &mut ids, 0, 0, n);
+            depth = Self::build_rec(ds, &mut nodes, &mut ids, 0, 0, n);
         }
+        assert!(depth <= MAX_TREE_DEPTH, "kd-tree depth {depth} exceeds {MAX_TREE_DEPTH}");
         Self { nodes, ids, n, dim: ds.dim() }
     }
 
+    /// Builds the subtree at `node` over `ids[start..end]` and returns its
+    /// depth in splits.
     fn build_rec(
         ds: &Dataset,
         nodes: &mut Vec<Node>,
@@ -64,11 +76,11 @@ impl KdTree {
         node: usize,
         start: usize,
         end: usize,
-    ) {
+    ) -> usize {
         let len = end - start;
         if len <= LEAF_SIZE {
             nodes[node] = Node::Leaf { start: start as u32, end: end as u32 };
-            return;
+            return 0;
         }
         // Widest dimension of this node's bounding box.
         let dim = ds.dim();
@@ -89,7 +101,7 @@ impl KdTree {
         if hi[split_dim] - lo[split_dim] <= 0.0 {
             // All points identical in every dimension: keep as one leaf.
             nodes[node] = Node::Leaf { start: start as u32, end: end as u32 };
-            return;
+            return 0;
         }
         let mid = start + len / 2;
         ids[start..end].select_nth_unstable_by(len / 2, |&a, &b| {
@@ -100,8 +112,9 @@ impl KdTree {
         nodes.push(Node::Leaf { start: 0, end: 0 }); // left placeholder
         nodes.push(Node::Leaf { start: 0, end: 0 }); // right placeholder
         nodes[node] = Node::Split { dim: split_dim as u16, value, left };
-        Self::build_rec(ds, nodes, ids, left as usize, start, mid);
-        Self::build_rec(ds, nodes, ids, left as usize + 1, mid, end);
+        let l = Self::build_rec(ds, nodes, ids, left as usize, start, mid);
+        let r = Self::build_rec(ds, nodes, ids, left as usize + 1, mid, end);
+        1 + l.max(r)
     }
 }
 
@@ -247,6 +260,47 @@ impl SpatialIndex for KdTree {
             best.into_iter().map(|Cand(d2, id)| Neighbor::new(id, Euclidean.surrogate_to_dist(d2))),
         );
         sort_neighbors(out);
+    }
+
+    fn nearest_tallied(&self, ds: &Dataset, q: &[f64], tally: &mut NnTally) -> Option<Neighbor> {
+        assert_eq!(ds.len(), self.n, "index/dataset mismatch");
+        assert_eq!(q.len(), self.dim, "query dimensionality mismatch");
+        if self.n == 0 {
+            return None;
+        }
+        let flat = ds.as_flat();
+        let mut best = DistId::MAX;
+        let mut stack = DfsStack::root();
+        while let Some((mut node, min_d2)) = stack.pop() {
+            // `knn`'s rule: even an id-0 point at `min_d2` cannot beat `best`.
+            if DistId(min_d2, 0) >= best {
+                tally.subtrees_pruned += 1;
+                continue;
+            }
+            // Descend nearest child first. The near side keeps the bound
+            // that just passed; the far side waits on the stack.
+            loop {
+                tally.nodes_visited += 1;
+                match self.nodes[node] {
+                    Node::Leaf { start, end } => {
+                        let ids = &self.ids[start as usize..end as usize];
+                        tally.dist_evals += ids.len() as u64;
+                        scan_nearest(q, flat, self.dim, ids, &mut best);
+                        break;
+                    }
+                    Node::Split { dim, value, left } => {
+                        let delta = q[dim as usize] - value;
+                        let (near, far) =
+                            if delta < 0.0 { (left, left + 1) } else { (left + 1, left) };
+                        stack.push(far, min_d2.max(delta * delta));
+                        node = near as usize;
+                    }
+                }
+            }
+        }
+        tally.queries += 1;
+        tally.sqrt_evals += 1;
+        Some(Neighbor::new(best.1, Euclidean.surrogate_to_dist(best.0)))
     }
 }
 

@@ -2,9 +2,10 @@
 //! tree and grid indexes are property-tested.
 
 use crate::dataset::Dataset;
-use crate::index::{sort_neighbors, Neighbor, SpatialIndex};
+use crate::index::{sort_neighbors, Neighbor, NnTally, SpatialIndex};
 use crate::kernels;
 use crate::metric::{Euclidean, Metric};
+use crate::order::DistId;
 
 /// Rows per kernel block of the scan loops: 256 squared distances fit in a
 /// 2 KiB stack buffer and keep each coordinate tile L1-resident.
@@ -89,6 +90,31 @@ impl SpatialIndex for LinearScan {
         }
         sort_neighbors(&mut all);
         out.extend_from_slice(&all);
+    }
+
+    fn nearest_tallied(&self, ds: &Dataset, q: &[f64], tally: &mut NnTally) -> Option<Neighbor> {
+        assert_eq!(ds.len(), self.n, "index/dataset mismatch");
+        if self.n == 0 {
+            return None;
+        }
+        // Block scan with a running `(d², id)` minimum.
+        let dim = ds.dim();
+        let mut best = DistId::MAX;
+        let mut buf = [0.0f64; BLOCK_ROWS];
+        for (b, chunk) in ds.as_flat().chunks(BLOCK_ROWS * dim).enumerate() {
+            let d2s = &mut buf[..chunk.len() / dim];
+            kernels::dists_to_block(q, chunk, dim, d2s);
+            for (j, &d2) in d2s.iter().enumerate() {
+                let cand = DistId(d2, b * BLOCK_ROWS + j);
+                if cand < best {
+                    best = cand;
+                }
+            }
+        }
+        tally.queries += 1;
+        tally.dist_evals += self.n as u64;
+        tally.sqrt_evals += 1;
+        Some(Neighbor::new(best.1, Euclidean.surrogate_to_dist(best.0)))
     }
 }
 

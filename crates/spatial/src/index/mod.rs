@@ -6,6 +6,8 @@
 //! property testing against [`linear::LinearScan`].
 
 use crate::dataset::Dataset;
+use crate::kernels;
+use crate::order::DistId;
 
 pub mod balltree;
 pub mod grid;
@@ -34,6 +36,113 @@ pub(crate) fn sort_neighbors(out: &mut [Neighbor]) {
     out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
 }
 
+/// Local tallies of nearest-neighbour queries, flushed to the global
+/// `spatial.*` counters in one go.
+///
+/// A per-query bump of the process-global counters is an atomic
+/// read-modify-write on a cache line every worker shares; at 1M queries
+/// per pass that traffic costs more than the queries. Hot loops therefore
+/// hold one tally, pass it to [`SpatialIndex::nearest_tallied`] and call
+/// [`NnTally::flush`] once per chunk or batch.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct NnTally {
+    /// Queries answered (`spatial.knn_queries`).
+    pub queries: u64,
+    /// Tree nodes entered (`spatial.nodes_visited`).
+    pub nodes_visited: u64,
+    /// Tree nodes skipped by their lower bound (`spatial.subtrees_pruned`).
+    pub subtrees_pruned: u64,
+    /// Squared point distances computed (`spatial.dist_evals`).
+    pub dist_evals: u64,
+    /// Square roots taken (`spatial.sqrt_evals`).
+    pub sqrt_evals: u64,
+}
+
+impl NnTally {
+    /// Adds every field to its `spatial.*` counter. Zero fields are
+    /// skipped, so an index that never prunes registers no prune counter.
+    pub fn flush(self) {
+        let counters = [
+            (self.queries, db_obs::counter!("spatial.knn_queries")),
+            (self.nodes_visited, db_obs::counter!("spatial.nodes_visited")),
+            (self.subtrees_pruned, db_obs::counter!("spatial.subtrees_pruned")),
+            (self.dist_evals, db_obs::counter!("spatial.dist_evals")),
+            (self.sqrt_evals, db_obs::counter!("spatial.sqrt_evals")),
+        ];
+        for (n, counter) in counters {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
+}
+
+/// Rows per kernel call of [`scan_nearest`]: one regular tree leaf. The
+/// buffer is re-initialised per call, so it stays small; larger
+/// (degenerate) leaves take several calls.
+const SCAN_ROWS: usize = 16;
+
+/// Lowers `best` to the `(d², id)` minimum over itself and the points
+/// `ids` of the row-major `flat` buffer — the leaf scan of the trees' 1-NN
+/// queries. Squared distances come from [`kernels::dists_to_indexed`], so
+/// they are the bits `knn` sees.
+#[inline]
+pub(crate) fn scan_nearest(q: &[f64], flat: &[f64], dim: usize, ids: &[u32], best: &mut DistId) {
+    let mut buf = [0.0f64; SCAN_ROWS];
+    for chunk in ids.chunks(SCAN_ROWS) {
+        let d2s = &mut buf[..chunk.len()];
+        kernels::dists_to_indexed(q, flat, dim, chunk, d2s);
+        for (&id, &d2) in chunk.iter().zip(d2s.iter()) {
+            let cand = DistId(d2, id as usize);
+            if cand < *best {
+                *best = cand;
+            }
+        }
+    }
+}
+
+/// Deepest tree a 1-NN descent supports: the capacity of [`DfsStack`].
+/// Both trees split at the median, so a tree over at most `u32::MAX`
+/// points is at most 32 splits deep; each build asserts its depth
+/// against this bound.
+pub(crate) const MAX_TREE_DEPTH: usize = 32;
+
+/// Fixed-capacity stack of `(node, lower bound)` pairs for the trees'
+/// depth-first 1-NN descent. A nearest-child-first descent leaves at most
+/// one far sibling per level on the stack, so [`MAX_TREE_DEPTH`] entries
+/// suffice and no query allocates.
+pub(crate) struct DfsStack {
+    node: [u32; MAX_TREE_DEPTH],
+    bound: [f64; MAX_TREE_DEPTH],
+    len: usize,
+}
+
+impl DfsStack {
+    /// A stack holding only the root, with lower bound 0.
+    #[inline]
+    pub(crate) fn root() -> Self {
+        let mut s = Self { node: [0; MAX_TREE_DEPTH], bound: [0.0; MAX_TREE_DEPTH], len: 0 };
+        s.push(0, 0.0);
+        s
+    }
+
+    /// Pushes `node` with lower bound `bound`; panics past the capacity
+    /// (which the build-time depth assertion rules out).
+    #[inline]
+    pub(crate) fn push(&mut self, node: u32, bound: f64) {
+        self.node[self.len] = node;
+        self.bound[self.len] = bound;
+        self.len += 1;
+    }
+
+    /// Pops the most recently pushed `(node, lower bound)`.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(usize, f64)> {
+        self.len = self.len.checked_sub(1)?;
+        Some((self.node[self.len] as usize, self.bound[self.len]))
+    }
+}
+
 /// An index over the points of one dataset, answering Euclidean proximity
 /// queries.
 ///
@@ -58,11 +167,18 @@ pub trait SpatialIndex {
     /// broken by lower id.
     fn knn(&self, ds: &Dataset, q: &[f64], k: usize, out: &mut Vec<Neighbor>);
 
-    /// The single nearest point to `q`, or `None` on an empty index.
+    /// The single nearest point to `q` — `knn(q, 1)[0]` bit for bit — or
+    /// `None` on an empty index. Allocates nothing and writes no shared
+    /// memory: the query's events go into `tally` (see [`NnTally`]).
+    fn nearest_tallied(&self, ds: &Dataset, q: &[f64], tally: &mut NnTally) -> Option<Neighbor>;
+
+    /// [`Self::nearest_tallied`] with the query's tally flushed at once;
+    /// for callers that query once, not in a loop.
     fn nearest(&self, ds: &Dataset, q: &[f64]) -> Option<Neighbor> {
-        let mut out = Vec::with_capacity(1);
-        self.knn(ds, q, 1, &mut out);
-        out.first().copied()
+        let mut tally = NnTally::default();
+        let nn = self.nearest_tallied(ds, q, &mut tally);
+        tally.flush();
+        nn
     }
 }
 
@@ -105,6 +221,15 @@ impl SpatialIndex for AnyIndex {
             AnyIndex::KdTree(i) => i.knn(ds, q, k, out),
             AnyIndex::BallTree(i) => i.knn(ds, q, k, out),
             AnyIndex::Grid(i) => i.knn(ds, q, k, out),
+        }
+    }
+
+    fn nearest_tallied(&self, ds: &Dataset, q: &[f64], tally: &mut NnTally) -> Option<Neighbor> {
+        match self {
+            AnyIndex::Linear(i) => i.nearest_tallied(ds, q, tally),
+            AnyIndex::KdTree(i) => i.nearest_tallied(ds, q, tally),
+            AnyIndex::BallTree(i) => i.nearest_tallied(ds, q, tally),
+            AnyIndex::Grid(i) => i.nearest_tallied(ds, q, tally),
         }
     }
 }

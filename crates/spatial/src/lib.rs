@@ -50,7 +50,7 @@ pub use index::balltree::BallTree;
 pub use index::grid::GridIndex;
 pub use index::kdtree::KdTree;
 pub use index::linear::LinearScan;
-pub use index::{auto_index, AnyIndex, Neighbor, SpatialIndex};
+pub use index::{auto_index, AnyIndex, Neighbor, NnTally, SpatialIndex};
 pub use io::{read_csv, read_csv_from, write_csv, write_csv_to, CsvError, CsvOptions};
 pub use kernels::{dist_tile, dists_to_block, dists_to_indexed, nn_block};
 pub use metric::{Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};

@@ -20,6 +20,13 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistId(pub f64, pub usize);
 
+impl DistId {
+    /// The greatest value of the order: a positive NaN with every payload
+    /// bit set, and the largest id. A running minimum starts here, and
+    /// every real candidate — even one at a NaN distance — replaces it.
+    pub const MAX: DistId = DistId(f64::from_bits(u64::MAX >> 1), usize::MAX);
+}
+
 impl Eq for DistId {}
 
 impl PartialOrd for DistId {
@@ -48,6 +55,13 @@ mod tests {
         // Reflexivity on NaN — the property partial_cmp cannot give.
         assert_eq!(DistId(f64::NAN, 7).cmp(&DistId(f64::NAN, 7)), Ordering::Equal);
         assert_eq!(DistId(f64::NAN, 7).partial_cmp(&DistId(f64::NAN, 7)), Some(Ordering::Equal));
+    }
+
+    #[test]
+    fn max_is_above_every_candidate() {
+        for d in [0.0, f64::INFINITY, f64::NAN, -f64::NAN] {
+            assert!(DistId(d, usize::MAX - 1) < DistId::MAX, "d = {d}");
+        }
     }
 
     #[test]
