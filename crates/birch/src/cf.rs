@@ -248,19 +248,29 @@ impl Cf {
             self.ssd = rhs.ssd;
             return Ok(());
         }
+        self.merge_at(rhs.view(), sq_dist(&self.mean, &rhs.mean));
+        Ok(())
+    }
+
+    /// The Chan–Golub–LeVeque merge of a non-empty `rhs` into this
+    /// non-empty CF, given the squared distance `delta_sq` of the two
+    /// means.
+    pub(crate) fn merge_at(&mut self, rhs: CfView<'_>, delta_sq: f64) {
+        debug_assert!(self.n > 0 && rhs.n > 0);
         let n1 = self.n as f64;
         let n2 = rhs.n as f64;
-        let n = n1 + n2;
-        let frac = n2 / n;
-        let mut delta_sq = 0.0;
-        for (m, &m2) in self.mean.iter_mut().zip(&rhs.mean) {
-            let delta = m2 - *m;
-            delta_sq += delta * delta;
-            *m += delta * frac;
+        let frac = n2 / (n1 + n2);
+        for (m, &m2) in self.mean.iter_mut().zip(rhs.mean) {
+            *m += (m2 - *m) * frac;
         }
         self.ssd += rhs.ssd + delta_sq * (n1 * frac);
         self.n += rhs.n;
-        Ok(())
+    }
+
+    /// This CF as a borrowed [`CfView`].
+    #[inline]
+    pub(crate) fn view(&self) -> CfView<'_> {
+        CfView { n: self.n, mean: &self.mean, ssd: self.ssd }
     }
 
     /// Number of points summarized.
@@ -359,12 +369,7 @@ impl Cf {
     pub fn centroid_distance(&self, other: &Cf) -> f64 {
         assert!(self.n > 0 && other.n > 0, "centroid distance of empty CF");
         assert_eq!(self.dim(), other.dim(), "dimensionality mismatch");
-        let mut acc = 0.0;
-        for (&a, &b) in self.mean.iter().zip(&other.mean) {
-            let d = a - b;
-            acc += d * d;
-        }
-        acc.sqrt()
+        sq_dist(&self.mean, &other.mean).sqrt()
     }
 
     /// The diameter the merged CF `self + other` would have, without
@@ -385,16 +390,48 @@ impl Cf {
         if other.n == 0 {
             return self.diameter();
         }
+        self.merged_diameter_at(other.view(), sq_dist(&self.mean, &other.mean))
+    }
+
+    /// [`Cf::merged_diameter`] of this non-empty CF and a non-empty
+    /// `other`, given the squared distance `delta_sq` of the two means.
+    pub(crate) fn merged_diameter_at(&self, other: CfView<'_>, delta_sq: f64) -> f64 {
+        debug_assert!(self.n > 0 && other.n > 0);
         let n1 = self.n as f64;
         let n2 = other.n as f64;
         let nf = n1 + n2;
-        let mut delta_sq = 0.0;
-        for (&a, &b) in self.mean.iter().zip(&other.mean) {
-            let d = b - a;
-            delta_sq += d * d;
-        }
         let ssd = self.ssd + other.ssd + delta_sq * (n1 * n2 / nf);
         (2.0 * clamp_radicand(ssd) / (nf - 1.0)).sqrt()
+    }
+}
+
+/// Squared Euclidean distance of two means, summed left to right. It has
+/// the same bits either way round: `a − b` is exactly `−(b − a)`.
+#[inline]
+pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (&x, &y) in a.iter().zip(b) {
+        let d = x - y;
+        acc += d * d;
+    }
+    acc
+}
+
+/// A borrowed `(n, mean, ssd)`: what one descent of the CF-tree carries.
+/// A point is `(1, point, 0.0)`; a CF lends its own fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CfView<'a> {
+    pub(crate) n: u64,
+    pub(crate) mean: &'a [f64],
+    pub(crate) ssd: f64,
+}
+
+impl CfView<'_> {
+    /// An owned copy. Each mean coordinate is stored as `0.0 + m`, as
+    /// Welford's first step in [`Cf::from_point`] stores a point: the
+    /// identity except that −0.0 becomes +0.0.
+    pub(crate) fn to_cf(self) -> Cf {
+        Cf { n: self.n, mean: self.mean.iter().map(|&m| 0.0 + m).collect(), ssd: self.ssd }
     }
 }
 

@@ -3,8 +3,10 @@
 //!
 //! Provides:
 //!
-//! * [`Cf`] — a Clustering Feature `(n, LS, ss)` (paper Def. 1) with the
-//!   additivity condition, centroid / radius / diameter in closed form.
+//! * [`Cf`] — a Clustering Feature (paper Def. 1), stored as
+//!   `(n, mean, ssd)` after BETULA (Lang & Schubert) rather than the
+//!   cancellation-prone `(n, LS, ss)`, with the additivity condition and
+//!   centroid / radius / diameter in closed form.
 //! * [`CfTree`] — the height-balanced CF-tree with branching factor `B`,
 //!   leaf capacity `L` and absorption threshold `T`; phase 1 inserts points
 //!   one by one and rebuilds with a larger threshold whenever the tree

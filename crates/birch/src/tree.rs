@@ -2,7 +2,7 @@
 //! with phase-1 insertion (rebuild on memory bound) and phase-2
 //! condensation to a target number of leaf entries.
 
-use crate::cf::Cf;
+use crate::cf::{sq_dist, Cf, CfError, CfView};
 use db_spatial::Dataset;
 use db_supervise::{unsupervised, Stop, Supervisor, Ticker};
 
@@ -109,20 +109,23 @@ impl CfTree {
     ///
     /// # Panics
     ///
-    /// Panics if `point.len() != dim`.
+    /// Panics if `point.len() != dim` or a coordinate is NaN or ±∞.
     pub fn insert_point(&mut self, point: &[f64]) {
         assert_eq!(point.len(), self.dim, "dimensionality mismatch");
+        if let Some(coord) = point.iter().position(|x| !x.is_finite()) {
+            panic!("invalid point: {}", CfError::NonFiniteCoordinate { coord });
+        }
         if self.nodes.len() > self.params.max_nodes {
             let t = self.next_threshold(None);
             self.rebuild(t);
         }
         self.points_inserted += 1;
         db_obs::counter!("birch.inserts").incr();
-        self.insert_cf_internal(Cf::from_point(point));
+        self.insert(CfView { n: 1, mean: point, ssd: 0.0 });
     }
 
-    /// Inserts an already-aggregated CF (used by rebuilds; also useful to
-    /// bulk-merge pre-compressed data).
+    /// Inserts an already-aggregated CF, e.g. to bulk-merge pre-compressed
+    /// data.
     ///
     /// # Panics
     ///
@@ -131,11 +134,12 @@ impl CfTree {
         assert!(!cf.is_empty(), "cannot insert an empty CF");
         assert_eq!(cf.dim(), self.dim, "dimensionality mismatch");
         self.points_inserted += cf.n();
-        self.insert_cf_internal(cf);
+        self.insert(cf.view());
     }
 
-    fn insert_cf_internal(&mut self, cf: Cf) {
-        if let Some(sibling) = self.insert_rec(self.root, &cf) {
+    /// One descent from the root, shared by points and CFs.
+    fn insert(&mut self, cf: CfView<'_>) {
+        if let Some(sibling) = self.insert_rec(self.root, cf) {
             // Root split: grow the tree by one level.
             let old_root = self.root;
             let s_old = self.node_summary(old_root);
@@ -149,89 +153,62 @@ impl CfTree {
     }
 
     /// Recursive insertion; returns the id of a newly created sibling node
-    /// when `node` was split.
-    fn insert_rec(&mut self, node: usize, cf: &Cf) -> Option<usize> {
+    /// when `node` was split. The squared distance to the closest entry
+    /// serves the absorb test and the merges on the way back up, and a
+    /// `Cf` is allocated only for a new leaf entry.
+    fn insert_rec(&mut self, node: usize, cf: CfView<'_>) -> Option<usize> {
         match &mut self.nodes[node] {
             Node::Leaf { entries } => {
-                if entries.is_empty() {
-                    entries.push(cf.clone());
-                    self.leaf_entry_count += 1;
-                    return None;
+                if let Some((closest, delta_sq)) = closest(entries, cf.mean) {
+                    let entry = &mut entries[closest];
+                    if entry.merged_diameter_at(cf, delta_sq) <= self.threshold {
+                        entry.merge_at(cf, delta_sq);
+                        db_obs::counter!("birch.absorbs").incr();
+                        return None;
+                    }
                 }
-                // Closest entry by centroid distance.
-                let closest = (0..entries.len())
-                    .min_by(|&a, &b| {
-                        entries[a]
-                            .centroid_distance(cf)
-                            .total_cmp(&entries[b].centroid_distance(cf))
-                    })
-                    .expect("non-empty");
-                let threshold = self.threshold;
-                if entries[closest].merged_diameter(cf) <= threshold {
-                    entries[closest] += cf;
-                    db_obs::counter!("birch.absorbs").incr();
-                    return None;
-                }
-                entries.push(cf.clone());
+                entries.push(cf.to_cf());
                 self.leaf_entry_count += 1;
                 if entries.len() <= self.params.leaf_capacity {
                     return None;
                 }
-                // Split the leaf.
                 db_obs::counter!("birch.leaf_splits").incr();
                 let all = std::mem::take(entries);
-                let (keep, spill) = split_group(all);
+                let tags = vec![(); all.len()];
+                let [(keep, _), (spill, _)] = split(all, tags);
                 self.nodes[node] = Node::Leaf { entries: keep };
                 self.nodes.push(Node::Leaf { entries: spill });
                 Some(self.nodes.len() - 1)
             }
-            Node::Inner { summaries, .. } => {
-                let closest = (0..summaries.len())
-                    .min_by(|&a, &b| {
-                        summaries[a]
-                            .centroid_distance(cf)
-                            .total_cmp(&summaries[b].centroid_distance(cf))
-                    })
-                    .expect("inner nodes are never empty");
-                let child = match &self.nodes[node] {
-                    Node::Inner { children, .. } => children[closest],
-                    Node::Leaf { .. } => unreachable!(),
+            Node::Inner { summaries, children } => {
+                let (closest, delta_sq) =
+                    closest(summaries, cf.mean).expect("inner nodes are never empty");
+                let child = children[closest];
+                let Some(sibling) = self.insert_rec(child, cf) else {
+                    if let Node::Inner { summaries, .. } = &mut self.nodes[node] {
+                        summaries[closest].merge_at(cf, delta_sq);
+                    }
+                    return None;
                 };
-                let split = self.insert_rec(child, cf);
-                match split {
-                    None => {
-                        if let Node::Inner { summaries, .. } = &mut self.nodes[node] {
-                            summaries[closest] += cf;
-                        }
-                        None
-                    }
-                    Some(sibling) => {
-                        // Recompute the split child's summary, add the new
-                        // sibling right after it.
-                        let s_child = self.node_summary(child);
-                        let s_sib = self.node_summary(sibling);
-                        let (summaries, children) = match &mut self.nodes[node] {
-                            Node::Inner { summaries, children } => (summaries, children),
-                            Node::Leaf { .. } => unreachable!(),
-                        };
-                        summaries[closest] = s_child;
-                        summaries.insert(closest + 1, s_sib);
-                        children.insert(closest + 1, sibling);
-                        if children.len() <= self.params.branching {
-                            return None;
-                        }
-                        // Split the inner node.
-                        db_obs::counter!("birch.inner_splits").incr();
-                        let pairs: Vec<(Cf, usize)> =
-                            summaries.drain(..).zip(children.drain(..)).collect();
-                        let (keep, spill) = split_inner(pairs);
-                        let (ks, kc): (Vec<Cf>, Vec<usize>) = keep.into_iter().unzip();
-                        let (ss, sc): (Vec<Cf>, Vec<usize>) = spill.into_iter().unzip();
-                        self.nodes[node] = Node::Inner { summaries: ks, children: kc };
-                        self.nodes.push(Node::Inner { summaries: ss, children: sc });
-                        Some(self.nodes.len() - 1)
-                    }
+                // Recompute the split child's summary, add the new sibling
+                // right after it.
+                let s_child = self.node_summary(child);
+                let s_sib = self.node_summary(sibling);
+                let Node::Inner { summaries, children } = &mut self.nodes[node] else {
+                    unreachable!()
+                };
+                summaries[closest] = s_child;
+                summaries.insert(closest + 1, s_sib);
+                children.insert(closest + 1, sibling);
+                if children.len() <= self.params.branching {
+                    return None;
                 }
+                db_obs::counter!("birch.inner_splits").incr();
+                let [(ks, kc), (ss, sc)] =
+                    split(std::mem::take(summaries), std::mem::take(children));
+                self.nodes[node] = Node::Inner { summaries: ks, children: kc };
+                self.nodes.push(Node::Inner { summaries: ss, children: sc });
+                Some(self.nodes.len() - 1)
             }
         }
     }
@@ -256,19 +233,29 @@ impl CfTree {
     /// All leaf entries, left to right.
     pub fn leaf_entries(&self) -> Vec<Cf> {
         let mut out = Vec::with_capacity(self.leaf_entry_count);
-        self.collect_leaves(self.root, &mut out);
+        out.extend(self.leaf_refs().cloned());
         out
     }
 
-    fn collect_leaves(&self, node: usize, out: &mut Vec<Cf>) {
-        match &self.nodes[node] {
-            Node::Leaf { entries } => out.extend(entries.iter().cloned()),
-            Node::Inner { children, .. } => {
-                for &c in children {
-                    self.collect_leaves(c, out);
-                }
+    /// References to all leaf entries, left to right.
+    fn leaf_refs(&self) -> impl Iterator<Item = &Cf> {
+        self.leaves().into_iter().flat_map(|leaf| match &self.nodes[leaf] {
+            Node::Leaf { entries } => entries.iter(),
+            Node::Inner { .. } => unreachable!(),
+        })
+    }
+
+    /// Ids of the leaf nodes, left to right.
+    fn leaves(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut stack = vec![self.root];
+        while let Some(node) = stack.pop() {
+            match &self.nodes[node] {
+                Node::Leaf { .. } => out.push(node),
+                Node::Inner { children, .. } => stack.extend(children.iter().rev()),
             }
         }
+        out
     }
 
     /// The threshold-increase heuristic.
@@ -288,18 +275,18 @@ impl CfTree {
     /// that BIRCH generates fewer CFs than requested, the more so the
     /// higher the compression rate and dimension.
     fn next_threshold(&self, target_leaf_entries: Option<usize>) -> f64 {
-        let entries = self.leaf_entries();
+        let count = self.leaf_entry_count;
         let floor = if self.threshold > 0.0 {
             self.threshold * self.params.threshold_growth
         } else {
             f64::MIN_POSITIVE
         };
-        if entries.len() < 2 {
+        if count < 2 {
             return floor.max(1e-12);
         }
         // Sample up to 512 entries; O(s²) nearest-neighbour scan.
-        let stride = (entries.len() / 512).max(1);
-        let sample: Vec<&Cf> = entries.iter().step_by(stride).collect();
+        let stride = (count / 512).max(1);
+        let sample: Vec<&Cf> = self.leaf_refs().step_by(stride).collect();
         let mut minima: Vec<f64> = Vec::with_capacity(sample.len());
         for (i, a) in sample.iter().enumerate() {
             let mut best = f64::INFINITY;
@@ -317,16 +304,16 @@ impl CfTree {
         }
         minima.sort_by(f64::total_cmp);
         let need = match target_leaf_entries {
-            Some(t) if entries.len() > t => entries.len() - t,
-            _ => entries.len() / 2,
+            Some(t) if count > t => count - t,
+            _ => count / 2,
         };
-        let idx = ((need as f64 / entries.len() as f64) * minima.len() as f64).ceil() as usize;
+        let idx = ((need as f64 / count as f64) * minima.len() as f64).ceil() as usize;
         let idx = idx.min(minima.len() - 1);
         minima[idx].max(floor).max(1e-12)
     }
 
     /// Rebuilds the tree with a new (larger) threshold by reinserting all
-    /// leaf entries.
+    /// leaf entries, left to right, moved out of the old nodes.
     fn rebuild(&mut self, new_threshold: f64) {
         let _span = db_obs::span!("birch.rebuild");
         db_obs::counter!("birch.rebuilds").incr();
@@ -337,15 +324,17 @@ impl CfTree {
             new_threshold,
             self.leaf_entry_count
         );
-        let entries = self.leaf_entries();
-        self.nodes.clear();
-        self.nodes.push(Node::Leaf { entries: Vec::new() });
+        let leaves = self.leaves();
+        let mut old = std::mem::replace(&mut self.nodes, vec![Node::Leaf { entries: Vec::new() }]);
         self.root = 0;
         self.leaf_entry_count = 0;
         self.threshold = new_threshold;
         self.rebuild_count += 1;
-        for cf in entries {
-            self.insert_cf_internal(cf);
+        for leaf in leaves {
+            let Node::Leaf { entries } = &mut old[leaf] else { unreachable!() };
+            for cf in std::mem::take(entries) {
+                self.insert(cf.view());
+            }
         }
     }
 
@@ -402,53 +391,43 @@ impl CfTree {
     }
 }
 
-/// Splits a leaf's entries into two groups: the farthest pair of entries
-/// (by centroid distance) seed the groups, remaining entries join the
-/// closer seed.
-fn split_group(entries: Vec<Cf>) -> (Vec<Cf>, Vec<Cf>) {
-    debug_assert!(entries.len() >= 2);
-    let (mut s1, mut s2) = (0usize, 1usize);
-    let mut best = -1.0f64;
-    for i in 0..entries.len() {
-        for j in (i + 1)..entries.len() {
-            let d = entries[i].centroid_distance(&entries[j]);
-            if d > best {
-                best = d;
-                s1 = i;
-                s2 = j;
-            }
-        }
-    }
-    let seed1 = entries[s1].clone();
-    let seed2 = entries[s2].clone();
-    let mut keep = Vec::new();
-    let mut spill = Vec::new();
-    for (i, e) in entries.into_iter().enumerate() {
-        if i == s1 {
-            keep.push(e);
-        } else if i == s2 {
-            spill.push(e);
-        } else if e.centroid_distance(&seed1) <= e.centroid_distance(&seed2) {
-            keep.push(e);
-        } else {
-            spill.push(e);
-        }
-    }
-    (keep, spill)
+/// The entry whose centroid is closest to `mean`, with its squared
+/// distance; `None` for no entries.
+fn closest(entries: &[Cf], mean: &[f64]) -> Option<(usize, f64)> {
+    first_nearest(entries.iter().map(|e| sq_dist(e.mean(), mean)))
 }
 
-/// (summary, child-node-id) pairs of an inner node.
-type InnerEntries = Vec<(Cf, usize)>;
+/// Index and value of the first of `squares` whose square root is least:
+/// the entry `min_by` over the distances [`Cf::centroid_distance`] picks.
+/// A square root is taken only for a strictly smaller square, which may
+/// still round to the same distance.
+fn first_nearest(squares: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
+    let mut squares = squares.enumerate();
+    let mut best = squares.next()?;
+    let mut best_dist = best.1.sqrt();
+    for (i, sq) in squares {
+        if sq.total_cmp(&best.1).is_lt() {
+            let dist = sq.sqrt();
+            if dist.total_cmp(&best_dist).is_lt() {
+                best = (i, sq);
+                best_dist = dist;
+            }
+        }
+    }
+    Some(best)
+}
 
-/// Same seeding strategy for inner nodes, keeping (summary, child) pairs
-/// together.
-fn split_inner(pairs: InnerEntries) -> (InnerEntries, InnerEntries) {
-    debug_assert!(pairs.len() >= 2);
+/// Splits an overfull node's entries in two: the farthest pair of
+/// centroids seed the halves, and every other entry joins the closer seed,
+/// the first on a tie. `tags` ride along with their entries: child ids in
+/// an inner node, `()` in a leaf.
+fn split<T>(cfs: Vec<Cf>, tags: Vec<T>) -> [(Vec<Cf>, Vec<T>); 2] {
+    debug_assert!(cfs.len() >= 2 && cfs.len() == tags.len());
     let (mut s1, mut s2) = (0usize, 1usize);
     let mut best = -1.0f64;
-    for i in 0..pairs.len() {
-        for j in (i + 1)..pairs.len() {
-            let d = pairs[i].0.centroid_distance(&pairs[j].0);
+    for i in 0..cfs.len() {
+        for j in (i + 1)..cfs.len() {
+            let d = cfs[i].centroid_distance(&cfs[j]);
             if d > best {
                 best = d;
                 s1 = i;
@@ -456,22 +435,20 @@ fn split_inner(pairs: InnerEntries) -> (InnerEntries, InnerEntries) {
             }
         }
     }
-    let seed1 = pairs[s1].0.clone();
-    let seed2 = pairs[s2].0.clone();
-    let mut keep = Vec::new();
-    let mut spill = Vec::new();
-    for (i, p) in pairs.into_iter().enumerate() {
-        if i == s1 {
-            keep.push(p);
-        } else if i == s2 {
-            spill.push(p);
-        } else if p.0.centroid_distance(&seed1) <= p.0.centroid_distance(&seed2) {
-            keep.push(p);
-        } else {
-            spill.push(p);
-        }
+    let sides: Vec<usize> = (0..cfs.len())
+        .map(|i| {
+            let to_first = i == s1
+                || (i != s2
+                    && cfs[i].centroid_distance(&cfs[s1]) <= cfs[i].centroid_distance(&cfs[s2]));
+            usize::from(!to_first)
+        })
+        .collect();
+    let mut halves = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
+    for ((cf, tag), side) in cfs.into_iter().zip(tags).zip(sides) {
+        halves[side].0.push(cf);
+        halves[side].1.push(tag);
     }
-    (keep, spill)
+    halves
 }
 
 /// Runs BIRCH end to end: phase-1 insertion of every point of `ds`,
@@ -647,23 +624,37 @@ mod tests {
     }
 
     #[test]
-    fn split_group_separates_farthest_pair() {
+    fn split_separates_farthest_pair() {
         let entries = vec![
             Cf::from_point(&[0.0, 0.0]),
             Cf::from_point(&[0.1, 0.0]),
             Cf::from_point(&[10.0, 0.0]),
             Cf::from_point(&[10.1, 0.0]),
         ];
-        let (a, b) = split_group(entries);
-        assert_eq!(a.len() + b.len(), 4);
-        assert!(!a.is_empty() && !b.is_empty());
-        // Each group is spatially coherent: all centroids within 1.0 of the
-        // group's first element.
-        for g in [&a, &b] {
-            for e in g.iter().skip(1) {
-                assert!(e.centroid_distance(&g[0]) < 1.0);
-            }
+        let [(a, ids_a), (b, ids_b)] = split(entries, vec![10, 11, 12, 13]);
+        // The farthest pair (0 and 3) seed the halves; each other entry
+        // joins the closer seed, and the ids ride along.
+        assert_eq!((ids_a, ids_b), (vec![10, 11], vec![12, 13]));
+        assert_eq!(a[1].mean(), &[0.1, 0.0]);
+        assert_eq!(b[0].mean(), &[10.0, 0.0]);
+    }
+
+    #[test]
+    fn first_nearest_agrees_with_min_by_over_distances() {
+        // Consecutive doubles: about half of the neighbouring pairs share a
+        // rounded square root, so strictly smaller squares often tie.
+        let base = 1.7f64.to_bits();
+        let mut rng = db_rng::Rng::seed_from_u64(3);
+        for _ in 0..2000 {
+            let len = rng.gen_range(1..10);
+            let squares: Vec<f64> =
+                (0..len).map(|_| f64::from_bits(base + rng.gen_range(0..6) as u64)).collect();
+            let want = (0..len)
+                .min_by(|&a, &b| squares[a].sqrt().total_cmp(&squares[b].sqrt()))
+                .map(|i| (i, squares[i]));
+            assert_eq!(first_nearest(squares.iter().copied()), want, "{squares:?}");
         }
+        assert_eq!(first_nearest(std::iter::empty()), None);
     }
 
     #[test]
