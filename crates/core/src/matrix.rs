@@ -1,13 +1,13 @@
 //! [`BubbleDistanceMatrix`]: the symmetric k×k bubble-distance matrix,
 //! computed once (in parallel row blocks) and served as id-ordered rows.
 //!
-//! The OPTICS walk over bubbles asks for the ε-neighbourhood of every
-//! bubble at least once, and sub-MinPts expansion may ask for unbounded
-//! core-distances again — each query an exhaustive O(k) scan.
-//! [`crate::bubble_distance`] is exactly symmetric in IEEE floats
-//! ((x−y)² == (y−x)², commutative additions, `max`), so the whole matrix
-//! can be evaluated once up front; every later query is then an O(k)
-//! filter over a stored row, with no distance evaluation.
+//! The OPTICS walk over bubbles reads every bubble's full distance row
+//! once, and sub-MinPts expansion may ask for unbounded core-distances
+//! again — each an exhaustive O(k) scan. [`crate::bubble_distance`] is
+//! exactly symmetric in IEEE floats ((x−y)² == (y−x)², commutative
+//! additions, `max`), so the whole matrix can be evaluated once up front;
+//! every later query is then a read of a stored row, with no distance
+//! evaluation.
 //!
 //! Rows are stored in id order (`dists[i * k + j] = dist(i, j)`) and never
 //! sorted: a neighbourhood may come in any order
@@ -45,6 +45,8 @@ pub struct BubbleDistanceMatrix {
     k: usize,
     /// Row-major distances: `dists[i * k + j] = dist(i, j)`.
     dists: Vec<f64>,
+    /// Workers the build ran on; later passes over the rows reuse it.
+    threads: usize,
 }
 
 impl BubbleDistanceMatrix {
@@ -136,12 +138,17 @@ impl BubbleDistanceMatrix {
         // One evaluation per (row, column) pair — the same count the
         // replaced exhaustive scans would have reported.
         db_obs::counter!("optics.distance_calls").add(cells as u64);
-        Ok(Self { k, dists })
+        Ok(Self { k, dists, threads })
     }
 
     /// Number of bubbles (the matrix is `k × k`).
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// Worker threads the build ran on (the resolved thread knob).
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Row `i` in id order: `row(i)[j] = dist(i, j)`, zero on the

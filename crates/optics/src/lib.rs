@@ -7,7 +7,9 @@
 //! Plain vector data uses [`PointSpace`]; the `data-bubbles` crate provides
 //! a second implementation whose neighbourhood/core-distance follow
 //! Definitions 6–8 of the Data Bubbles paper — exactly the paper's claim
-//! that only those definitions need to change.
+//! that only those definitions need to change. A space that can hand out
+//! full distance rows ([`OpticsSpace::distance_rows`]) is walked with one
+//! fused pass per row instead of the seed heap, with the same ordering.
 //!
 //! Also provided:
 //!
@@ -53,6 +55,6 @@ pub use dbscan::{dbscan, dbscan_core};
 pub use ordering::{extract_dbscan, median_smooth, ClusterOrdering, OrderingEntry, UNDEFINED};
 pub use params::{k_distances, suggest_cut, suggest_eps};
 pub use persist::{read_ordering, write_ordering, PersistError};
-pub use space::{OpticsParams, OpticsSpace, PointSpace};
+pub use space::{DistanceRows, OpticsParams, OpticsSpace, PointSpace};
 pub use tree::{ClusterNode, ClusterTree};
 pub use xi::{extract_xi, XiCluster};

@@ -2,6 +2,7 @@
 //! data.
 
 use db_spatial::{auto_index, AnyIndex, Dataset, Neighbor, SpatialIndex};
+use db_supervise::{Stop, Supervisor};
 
 /// Parameters of an OPTICS run: the generating distance ε and the density
 /// threshold MinPts.
@@ -55,6 +56,46 @@ pub trait OpticsSpace {
     /// as [`OpticsSpace::neighborhood`] produced it (in the space's own
     /// order). `None` encodes ∞ (not a core object).
     fn core_distance(&self, i: usize, min_pts: usize, neighborhood: &[Neighbor]) -> Option<f64>;
+
+    /// Full distance rows for the row walk, or `None` (the default) to walk
+    /// with the seed heap over [`OpticsSpace::neighborhood`].
+    ///
+    /// The walk calls this once, before its first object, under its own
+    /// supervisor, so a space may do up-front work here (such as computing
+    /// every core-distance from rows it already stores). It then asks for
+    /// each object's row exactly once, in walk order. The contract of
+    /// [`DistanceRows::row`]`(i)`:
+    ///
+    /// * the row is **full** (one entry per object) and in **id order**;
+    /// * entry `j` is the distance `neighborhood(i, eps, ..)` reports for
+    ///   `j`, bit for bit, and `i` itself is at 0, so the row filtered by
+    ///   `d <= eps` *is* the ε-neighbourhood;
+    /// * the core-distance is `core_distance(i, min_pts, ..)` over that
+    ///   neighbourhood, with `None` as [`crate::UNDEFINED`].
+    ///
+    /// A space with sparse neighbourhoods ([`PointSpace`]) keeps the
+    /// default: a full row would cost it O(n) where the index answers in
+    /// far less.
+    ///
+    /// # Errors
+    ///
+    /// [`Stop`] when `sup` stops the up-front work.
+    fn distance_rows(
+        &self,
+        params: &OpticsParams,
+        sup: &Supervisor,
+    ) -> Result<Option<Box<dyn DistanceRows + '_>>, Stop> {
+        let _ = (params, sup);
+        Ok(None)
+    }
+}
+
+/// Full id-ordered distance rows, handed to the row walk by
+/// [`OpticsSpace::distance_rows`] (which states the contract).
+pub trait DistanceRows {
+    /// Object `i`'s core-distance ([`crate::UNDEFINED`] when it is not a
+    /// core object) and its distance to every object, in id order.
+    fn row(&mut self, i: usize) -> (f64, &[f64]);
 }
 
 /// [`OpticsSpace`] over a plain [`Dataset`]: Definitions 2–3 of the Data

@@ -27,15 +27,26 @@ impl DistId {
     pub const MAX: DistId = DistId(f64::from_bits(u64::MAX >> 1), usize::MAX);
 }
 
+/// `f64::total_cmp` as an integer order: `a.total_cmp(&b)` equals
+/// `total_key(a).cmp(&total_key(b))`. A running minimum that keeps its
+/// best as a key compares each candidate with one integer comparison.
+#[inline]
+pub fn total_key(d: f64) -> i64 {
+    let bits = d.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 impl Eq for DistId {}
 
 impl PartialOrd for DistId {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for DistId {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
     }
@@ -55,6 +66,29 @@ mod tests {
         // Reflexivity on NaN — the property partial_cmp cannot give.
         assert_eq!(DistId(f64::NAN, 7).cmp(&DistId(f64::NAN, 7)), Ordering::Equal);
         assert_eq!(DistId(f64::NAN, 7).partial_cmp(&DistId(f64::NAN, 7)), Some(Ordering::Equal));
+    }
+
+    #[test]
+    fn total_key_orders_like_total_cmp() {
+        let values = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            DistId::MAX.0,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(total_key(a).cmp(&total_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

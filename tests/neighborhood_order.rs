@@ -7,7 +7,10 @@
 //! * `Sorted<S>` wraps any space and sorts each neighbourhood ascending by
 //!   `DistId` — the order every bubble neighbourhood used to come in.
 //!   `optics` and `dbscan_core` over `BubbleSpace`, with the matrix on and
-//!   off, must equal their result over the adaptor bit for bit;
+//!   off, must equal their result over the adaptor bit for bit. The
+//!   adaptor does not offer distance rows, so it is walked with the seed
+//!   heap while `BubbleSpace` is walked row by row: every walk comparison
+//!   here is the row walk against the heap walk;
 //! * Definition 7's sub-MinPts case, which needs neighbours by distance,
 //!   must equal a full-sort reference, in the walk (`core_distance`) and
 //!   outside it (`core_distance_unbounded`).
@@ -17,7 +20,7 @@
 //! the bubble sizes so the sub-MinPts case runs.
 
 use data_bubbles::{bubble_distance, BubbleSpace, DataBubble};
-use db_datagen::{adversarial, differential_corpora};
+use db_datagen::{adversarial, differential_corpora, ds1, Ds1Params};
 use db_optics::{dbscan_core, optics, ClusterOrdering, OpticsParams, OpticsSpace};
 use db_sampling::compress_by_sampling;
 use db_spatial::order::DistId;
@@ -216,4 +219,41 @@ fn duplicate_flood_ties_exactly_and_runs_the_sub_min_pts_case() {
     assert!(ties.count() > 0, "the flood must contain exact ties");
     let largest = bubbles.iter().map(DataBubble::n).max().expect("non-empty");
     assert!(min_pts_values(&bubbles).iter().any(|&m| m as u64 > largest));
+}
+
+/// The row walk at a realistic size: DS1 compressed to k = 1000 bubbles.
+/// Over `BubbleSpace`, with the matrix (stored rows, core-distances up
+/// front) and without it (rows evaluated one at a time), the walk must
+/// equal the heap walk over the `Sorted` adaptor bit for bit, at ∞ and at
+/// a finite ε that splits the bubbles into many components, with MinPts
+/// above most bubble sizes so most core-distances are Def. 7's rare case.
+#[test]
+fn ds1_row_walks_equal_the_heap_walk() {
+    let ds = ds1(&Ds1Params { n: 20_000, ..Ds1Params::default() }, 5).data;
+    let bubbles = bubbles_of(&ds, 1000, 3);
+    let plain = BubbleSpace::try_new(bubbles.clone()).expect("space");
+    let mut with_matrix = plain.clone();
+    assert!(with_matrix.precompute_matrix(None, usize::MAX), "matrix must be built");
+    let sorted = Sorted(plain.clone());
+    let mut sizes: Vec<u64> = bubbles.iter().map(DataBubble::n).collect();
+    sizes.sort_unstable();
+    let above_most = sizes[sizes.len() * 9 / 10] as usize + 1;
+    let mut d: Vec<f64> = (0..bubbles.len())
+        .flat_map(|i| (0..i).map(move |j| (i, j)))
+        .map(|(i, j)| bubble_distance(&bubbles[i], &bubbles[j], false))
+        .collect();
+    d.sort_by(f64::total_cmp);
+    for eps in [f64::INFINITY, d[d.len() / 100]] {
+        for min_pts in [above_most, 5 * above_most] {
+            let case = format!("DS1 k=1000: eps={eps} MinPts={min_pts}");
+            let params = OpticsParams { eps, min_pts };
+            let want = ordering_bits(&optics(&sorted, &params));
+            assert_eq!(ordering_bits(&optics(&plain, &params)), want, "{case}: on the fly");
+            assert_eq!(ordering_bits(&optics(&with_matrix, &params)), want, "{case}: matrix");
+            if eps.is_finite() {
+                let starts = want.iter().filter(|e| e.1 == f64::INFINITY.to_bits()).count();
+                assert!(starts > 1, "{case}: a finite ε must leave several walk starts");
+            }
+        }
+    }
 }

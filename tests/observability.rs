@@ -55,6 +55,23 @@ fn sa_bubbles_records_algorithm_counters() {
     assert_eq!(snap.counter("pipeline.runs"), Some(1));
 }
 
+/// The bubble walk is a row walk: one row per bubble, reaches lowered in
+/// the row pass, no heap and so no stale seeds; its counters arrive as
+/// one tally per walk.
+#[test]
+fn row_walk_counts_one_query_per_bubble_and_no_stale_seeds() {
+    let _g = locked();
+    db_obs::reset();
+    let ds = two_squares();
+    optics_sa_bubbles(&ds, 40, 7, &params()).unwrap();
+    let snap = db_obs::snapshot();
+    assert_eq!(snap.counter("optics.neighborhood_queries"), Some(40));
+    assert_eq!(snap.counter("optics.core_distance_queries"), Some(40));
+    assert_eq!(snap.counter("optics.stale_seed_skips").unwrap_or(0), 0);
+    // At ε = ∞ every bubble but the walk start gets a reach at least once.
+    assert!(snap.counter("optics.seed_updates").unwrap_or(0) >= 39);
+}
+
 #[test]
 fn phase_spans_match_pipeline_timings() {
     let _g = locked();

@@ -342,6 +342,104 @@ fn unconstrained_supervised_run_is_clean_and_identical_to_unsupervised() {
     db_obs::health::reset();
 }
 
+// ------------------------------------------------------ matrix-backed walk
+
+/// The row walk over the distance matrix computes every core-distance up
+/// front, sub-MinPts bubbles in parallel workers (fault point
+/// `optics.core_worker`), and then makes one pass per bubble. A panic in
+/// those workers, a cancel raised inside the walk, and a deadline that
+/// fires while the workers stall all stop the run in the clustering
+/// phase; a cancel is honoured within 50ms.
+#[test]
+fn matrix_backed_walk_stops_in_the_clustering_phase() {
+    let ds = big_two_squares();
+    let mut c = cfg(40, Compressor::Sample { seed: 7 }, Recovery::Bubbles);
+    // Above every bubble's ~230 points: each core-distance reads its row.
+    c.optics.min_pts = 300;
+    let baseline = {
+        let _quiet = FAULTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        run_pipeline(&ds, &c).expect("clean run")
+    };
+    {
+        let _armed = arm("optics.core_worker:panic");
+        match run_pipeline(&ds, &c) {
+            Err(PipelineError::WorkerPanic { phase, message }) => {
+                assert_eq!(phase, PipelinePhase::Clustering);
+                assert!(message.contains("injected fault"), "panic payload lost: {message}");
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+    }
+    {
+        let _armed = arm("optics.core_worker:cancel");
+        let token = CancelToken::new();
+        let mut cancelled = c.clone();
+        cancelled.cancel = Some(token.clone());
+        // A watcher notes when the fault cancels the token, so the time
+        // the run takes to notice can be measured.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (result, reaction) = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                while !token.is_cancelled() && !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                Instant::now()
+            });
+            let result = run_pipeline(&ds, &cancelled);
+            let returned = Instant::now();
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            let seen = watcher.join().expect("watcher");
+            (result, returned.saturating_duration_since(seen))
+        });
+        match result {
+            Err(PipelineError::Cancelled { phase }) => assert_eq!(phase, PipelinePhase::Clustering),
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        assert!(reaction < Duration::from_millis(50), "took {reaction:?} to react to the cancel");
+    }
+    {
+        let mut overrun = c.clone();
+        let _armed = arm_overrun(&ds, &mut overrun, "optics.core_worker");
+        match run_pipeline(&ds, &overrun) {
+            Err(PipelineError::DeadlineExceeded { phase, elapsed }) => {
+                assert_eq!(phase, PipelinePhase::Clustering);
+                assert!(elapsed >= overrun.budget.deadline.expect("deadline set"));
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+    // Nothing leaked into the next run.
+    let _quiet = FAULTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    assert_identical(&baseline, &run_pipeline(&ds, &c).expect("re-run"), "after the stops");
+}
+
+/// A deadline halfway through the clustering phase of a run whose
+/// clustering dominates (k = 2,000 bubbles of ~5 points at MinPts 12, so
+/// the up-front core-distance pass reads most rows and the walk makes
+/// 2,000 row passes) is detected within 50ms and attributed to the
+/// clustering phase.
+#[test]
+fn deadline_inside_the_matrix_backed_walk_is_honoured_within_50ms() {
+    let ds = big_two_squares();
+    let _quiet = FAULTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut c = cfg(2000, Compressor::Sample { seed: 7 }, Recovery::Bubbles);
+    let clean = run_pipeline(&ds, &c).expect("clean calibration run").timings;
+    let deadline = clean.compression + clean.clustering / 2;
+    c.budget = RunBudget::with_deadline(deadline);
+    match run_pipeline(&ds, &c) {
+        Err(PipelineError::DeadlineExceeded { phase, elapsed }) => {
+            assert_eq!(phase, PipelinePhase::Clustering, "clean timings {clean:?}");
+            assert!(elapsed >= deadline);
+            assert!(
+                elapsed < deadline + Duration::from_millis(50),
+                "took {:?} to react to the deadline",
+                elapsed - deadline
+            );
+        }
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+}
+
 // ----------------------------------------------------------- matrix budget
 
 /// `max_matrix_bytes` skips the precomputed matrix without changing a bit
