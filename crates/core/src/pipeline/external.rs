@@ -21,8 +21,9 @@ use std::path::Path;
 use db_birch::Cf;
 use db_optics::{optics, ClusterOrdering};
 use db_rng::Rng;
+use db_sampling::NearestRep;
 use db_spatial::io::{read_csv_from, CsvError, CsvOptions};
-use db_spatial::{auto_index, id_u32, Dataset, NnTally, SpatialIndex};
+use db_spatial::{id_u32, Dataset, NnTally};
 use db_supervise::Supervisor;
 
 use crate::bubble::DataBubble;
@@ -198,7 +199,7 @@ pub fn run_external(
     }
 
     // ---------------------------------------------------------- pass 2
-    let index = auto_index(&reps, None);
+    let nearest = NearestRep::new(&reps);
     let mut stats = vec![Cf::empty(dim); cfg.k];
     let mut assignment: Vec<u32> = Vec::with_capacity(rows);
     let mut offsets: Vec<u64> = Vec::with_capacity(rows);
@@ -213,13 +214,9 @@ pub fn run_external(
                 got: coords.len(),
             }));
         }
-        // `reps` holds exactly `cfg.k >= 1` points, so a nearest
-        // neighbour always exists.
-        let Some(nn) = index.nearest_tallied(&reps, &coords, &mut tally) else {
-            return Err(ExternalError::NotEnoughRows { rows: 0, k: cfg.k });
-        };
-        stats[nn.id].add_point(&coords);
-        assignment.push(id_u32(nn.id));
+        let rep = nearest.nearest_tallied(&reps, &coords, &mut tally);
+        stats[rep].add_point(&coords);
+        assignment.push(id_u32(rep));
         offsets.push(offset);
         Ok(())
     });

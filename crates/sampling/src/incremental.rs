@@ -22,16 +22,16 @@
 //! validated input only.
 
 use db_birch::Cf;
-use db_spatial::{auto_index, id_u32, AnyIndex, Dataset, NnTally, SpatialError, SpatialIndex};
+use db_spatial::{id_u32, Dataset, NnTally, SpatialError};
 
-use crate::CompressedSample;
+use crate::{CompressedSample, NearestRep};
 
 /// A live compression: fixed representatives plus growing sufficient
 /// statistics and membership.
 #[derive(Debug, Clone)]
 pub struct IncrementalCompression {
     reps: Dataset,
-    index: AnyIndex,
+    nearest: NearestRep,
     stats: Vec<Cf>,
     assignment: Vec<u32>,
     /// Objects absorbed so far. Equal to `assignment.len()` except in
@@ -42,11 +42,14 @@ pub struct IncrementalCompression {
 
 impl IncrementalCompression {
     /// Starts from an existing batch compression.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample has no representatives.
     pub fn from_sample(sample: &CompressedSample) -> Self {
-        let index = auto_index(&sample.reps, None);
         Self {
             reps: sample.reps.clone(),
-            index,
+            nearest: NearestRep::new(&sample.reps),
             stats: sample.stats.clone(),
             assignment: sample.assignment.clone(),
             absorbed: sample.assignment.len(),
@@ -63,8 +66,8 @@ impl IncrementalCompression {
         let stats = reps.iter().map(Cf::from_point).collect();
         let assignment: Vec<u32> = (0..id_u32(reps.len())).collect();
         let absorbed = assignment.len();
-        let index = auto_index(&reps, None);
-        Self { reps, index, stats, assignment, absorbed }
+        let nearest = NearestRep::new(&reps);
+        Self { reps, nearest, stats, assignment, absorbed }
     }
 
     /// Number of representatives.
@@ -128,11 +131,11 @@ impl IncrementalCompression {
     /// `tally`. Internal: callers must have run [`Self::check_point`] and
     /// [`Self::check_capacity`] first, and flush `tally` afterwards.
     fn absorb_unchecked(&mut self, point: &[f64], tally: &mut NnTally) -> usize {
-        let nn = self.index.nearest_tallied(&self.reps, point, tally).expect("reps non-empty");
-        self.stats[nn.id].add_point(point);
-        self.assignment.push(id_u32(nn.id));
+        let rep = self.nearest.nearest_tallied(&self.reps, point, tally);
+        self.stats[rep].add_point(point);
+        self.assignment.push(id_u32(rep));
         self.absorbed += 1;
-        nn.id
+        rep
     }
 
     /// Absorbs one new object: classifies it to the nearest representative

@@ -33,14 +33,16 @@
 
 pub mod bfr;
 pub mod incremental;
+pub mod nearest;
 pub mod parallel;
 pub mod squash;
 
 pub use bfr::{bfr_compress, BfrParams, BfrResult};
 pub use incremental::IncrementalCompression;
+pub use nearest::{NearestRep, NN_KERNEL_MAX_REPS};
 pub use parallel::{
     accumulate_stats_parallel, accumulate_stats_supervised, nn_classify_parallel,
-    nn_classify_supervised, NN_KERNEL_MAX_REPS,
+    nn_classify_supervised,
 };
 pub use squash::{squash_compress, SquashResult};
 
@@ -259,11 +261,11 @@ pub fn compress_by_sampling_supervised(
 /// Classifies every point of `ds` to its nearest point in `reps`
 /// (1-NN classification; ties broken by lower representative index).
 ///
-/// Small representative sets (≤ [`parallel::NN_KERNEL_MAX_REPS`]) go
-/// through the batched distance kernel —
-/// whole query blocks against the flat representative block, comparing in
-/// squared space with zero square roots — larger ones through a spatial
-/// index; the two routes are bit-for-bit identical.
+/// Small representative sets (≤ [`NN_KERNEL_MAX_REPS`]) go through the
+/// batched distance kernel — whole query blocks against the flat
+/// representative block, comparing in squared space with zero square
+/// roots — larger ones through the 2-d cell table or a spatial index
+/// ([`NearestRep`]); the routes are bit-for-bit identical.
 ///
 /// # Panics
 ///

@@ -27,54 +27,10 @@
 use std::num::NonZeroUsize;
 
 use db_birch::Cf;
-use db_spatial::{auto_index, id_u32, kernels, AnyIndex, Dataset, NnTally, SpatialIndex};
+use db_spatial::{Dataset, NnTally};
 use db_supervise::{resolve_threads, run_blocks, unsupervised, Stop, Supervisor, Ticker};
 
-/// Largest representative set classified through the batched brute-force
-/// kernel ([`kernels::nn_block`]) instead of a spatial index. The dense
-/// O(n·k) kernel streams the flat representative block through cache with
-/// no pointer chasing and no square roots; the index's allocation-free
-/// 1-NN descent costs a few leaves per point whatever k is, so it wins
-/// once k outgrows a few leaves. Both backends are bit-for-bit identical
-/// (same canonical squared distances, same `(dist, id)` tie-break),
-/// pinned by `tests/kernel_equivalence.rs`, so the route is a pure
-/// performance choice.
-///
-/// Measured crossover, median of 7 classifications of 1M DS1 points
-/// (2-d) on 2 threads, 2-vCPU host, reps drawn at random, kernel → index:
-/// k = 64: 0.076 → 0.094 s; 96: 0.129 → 0.106 s; 128: 0.164 → 0.118 s;
-/// 256: 0.325 → 0.129 s; 512: 0.612 → 0.140 s. On 200k points of the
-/// 15-Gaussian family the index also wins at k = 128 (d = 5: 0.063 →
-/// 0.035 s; d = 16: 0.147 → 0.111 s) and the kernel at k = 64 in d = 16
-/// (0.076 → 0.086 s). The bound is 128, not the 64–96 crossover of the
-/// DS1 numbers, so that the tests pinning the kernel route with 100 and
-/// 120 representatives keep exercising it.
-pub const NN_KERNEL_MAX_REPS: usize = 128;
-
-/// Query rows per kernel pass of the batched backend: the query tile and
-/// its squared-distance buffer stay stack/L1-resident while the rep block
-/// is re-streamed per tile.
-const CLASSIFY_BLOCK: usize = 128;
-
-/// How a classification pass finds nearest representatives. Chosen once
-/// per pass from the representative count only — never from the thread
-/// count — so the route (and its metrics trail) is deterministic.
-enum ClassifyBackend {
-    /// Batched brute-force over the flat representative block.
-    Kernel,
-    /// Prebuilt spatial index, for large representative sets.
-    Index(AnyIndex),
-}
-
-impl ClassifyBackend {
-    fn new(reps: &Dataset) -> Self {
-        if reps.len() <= NN_KERNEL_MAX_REPS {
-            ClassifyBackend::Kernel
-        } else {
-            ClassifyBackend::Index(auto_index(reps, None))
-        }
-    }
-}
+use crate::nearest::NearestRep;
 
 /// Cooperative-check cadence for the classification loop. Each item is a
 /// nearest-neighbour query (µs-scale), so consulting the supervisor every
@@ -86,67 +42,24 @@ const CLASSIFY_TICK: u32 = 256;
 /// single Welford update (ns-scale).
 const STATS_TICK: u32 = 1024;
 
-/// Classifies the points `offset..offset + out.len()` of `ds` against the
-/// chosen backend, writing into `out`: the uninstrumented per-chunk body
-/// of [`nn_classify_supervised`]. On `Err` the caller discards `out`
-/// wholesale, so partially-written slots never leak.
+/// Classifies the points `offset..offset + out.len()` of `ds` into `out`:
+/// the uninstrumented per-chunk body of [`nn_classify_supervised`]. One
+/// tally per chunk, flushed whether or not the chunk finishes, so the
+/// per-point loop writes no shared memory. On `Err` the caller discards
+/// `out` wholesale, so partially-written slots never leak.
 fn classify_into(
     ds: &Dataset,
     reps: &Dataset,
-    backend: &ClassifyBackend,
+    nearest: &NearestRep,
     offset: usize,
     out: &mut [u32],
     sup: &Supervisor,
 ) -> Result<(), Stop> {
     let mut ticker = Ticker::new(sup, CLASSIFY_TICK);
-    match backend {
-        ClassifyBackend::Kernel => {
-            let dim = ds.dim();
-            let flat = ds.as_flat();
-            let reps_flat = reps.as_flat();
-            let mut d2 = [0.0f64; CLASSIFY_BLOCK];
-            let n = out.len();
-            let mut i = 0;
-            while i < n {
-                let rows = CLASSIFY_BLOCK.min(n - i);
-                // One tick per point keeps the supervision cadence (and its
-                // fault-injection schedule) identical to the index route.
-                for _ in 0..rows {
-                    ticker.tick()?;
-                }
-                let lo = (offset + i) * dim;
-                // `nn_block` scans reps in ascending-id order per query, so
-                // ids land directly in `out` with the `(dist, id)`
-                // tie-break; the chunk offset cannot affect the winners.
-                kernels::nn_block(
-                    &flat[lo..lo + rows * dim],
-                    reps_flat,
-                    dim,
-                    &mut out[i..i + rows],
-                    &mut d2[..rows],
-                );
-                i += rows;
-            }
-            db_obs::counter!("spatial.dist_evals").add(n as u64 * reps.len() as u64);
-        }
-        ClassifyBackend::Index(index) => {
-            // One tally per chunk, flushed whether or not the chunk
-            // finishes: the per-point loop writes no shared memory.
-            let mut tally = NnTally::default();
-            let done = out.iter_mut().enumerate().try_for_each(|(i, slot)| {
-                ticker.tick()?;
-                let p = ds.point(offset + i);
-                let nn = index.nearest_tallied(reps, p, &mut tally).expect("reps non-empty");
-                // Lossless: `Dataset` caps its length at
-                // `Dataset::MAX_POINTS` (u32 ids), enforced at ingest.
-                *slot = id_u32(nn.id);
-                Ok(())
-            });
-            tally.flush();
-            done?;
-        }
-    }
-    Ok(())
+    let mut tally = NnTally::default();
+    let done = nearest.classify_into(ds, reps, offset, out, &mut tally, &mut ticker);
+    tally.flush();
+    done
 }
 
 /// Classifies every point of `ds` to its nearest point in `reps` using
@@ -192,7 +105,7 @@ pub fn nn_classify_supervised(
 
     let mut span = db_obs::span!("sampling.nn_classify");
     db_obs::gauge!("sampling.classify_threads").set(threads as i64);
-    let backend = ClassifyBackend::new(reps);
+    let nearest = NearestRep::new(reps);
     let mut out = vec![0u32; ds.len()];
     // Worker time links back into the parent span (it lands in the
     // parent's child-time, not self-time) and workers record under the
@@ -205,7 +118,7 @@ pub fn nn_classify_supervised(
         sup,
         "classify.worker",
         || db_obs::span_linked!("sampling.classify_chunk", &parent),
-        |first, slice| classify_into(ds, reps, &backend, first, slice, sup),
+        |first, slice| classify_into(ds, reps, &nearest, first, slice, sup),
     )?;
     db_obs::counter!("sampling.points_classified").add(out.len() as u64);
     Ok(out)

@@ -9,6 +9,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::dataset::Dataset;
+use crate::index::cells::box_gap2;
 use crate::index::{
     scan_nearest, sort_neighbors, DfsStack, Neighbor, NnTally, SpatialIndex, MAX_TREE_DEPTH,
 };
@@ -115,6 +116,54 @@ impl KdTree {
         let l = Self::build_rec(ds, nodes, ids, left as usize, start, mid);
         let r = Self::build_rec(ds, nodes, ids, left as usize + 1, mid, end);
         1 + l.max(r)
+    }
+
+    /// Appends to `out` every point whose squared distance to the box
+    /// `[lo, hi]` ([`box_gap2`]) is at most `t`, with points, split values
+    /// and the box all taken relative to `origin`. 2-d trees only; the
+    /// cell table's build. A subtree is pruned by per-axis gaps from its
+    /// split values, computed with the same monotone expressions as a
+    /// point's gap, so a pruned point could never have passed.
+    pub(crate) fn near_box(
+        &self,
+        ds: &Dataset,
+        origin: [f64; 2],
+        lo: [f64; 2],
+        hi: [f64; 2],
+        t: f64,
+        out: &mut Vec<u32>,
+    ) {
+        debug_assert_eq!(self.dim, 2, "near_box is 2-d only");
+        if self.n == 0 {
+            return;
+        }
+        let mut stack = vec![(0usize, [0.0f64; 2])];
+        while let Some((node, gap)) = stack.pop() {
+            if gap[0] * gap[0] + gap[1] * gap[1] > t {
+                continue;
+            }
+            match self.nodes[node] {
+                Node::Leaf { start, end } => {
+                    for &id in &self.ids[start as usize..end as usize] {
+                        let p = ds.point(id as usize);
+                        if box_gap2([p[0] - origin[0], p[1] - origin[1]], lo, hi) <= t {
+                            out.push(id);
+                        }
+                    }
+                }
+                Node::Split { dim, value, left } => {
+                    // Left points lie at or below the split, right ones at
+                    // or above it.
+                    let a = dim as usize;
+                    let v = value - origin[a];
+                    let (mut below, mut above) = (gap, gap);
+                    below[a] = below[a].max(lo[a] - v);
+                    above[a] = above[a].max(v - hi[a]);
+                    stack.push((left as usize, below));
+                    stack.push((left as usize + 1, above));
+                }
+            }
+        }
     }
 }
 

@@ -5,7 +5,6 @@ use crate::dataset::Dataset;
 use crate::index::{sort_neighbors, Neighbor, NnTally, SpatialIndex};
 use crate::kernels;
 use crate::metric::{Euclidean, Metric};
-use crate::order::DistId;
 
 /// Rows per kernel block of the scan loops: 256 squared distances fit in a
 /// 2 KiB stack buffer and keep each coordinate tile L1-resident.
@@ -97,24 +96,12 @@ impl SpatialIndex for LinearScan {
         if self.n == 0 {
             return None;
         }
-        // Block scan with a running `(d², id)` minimum.
-        let dim = ds.dim();
-        let mut best = DistId::MAX;
-        let mut buf = [0.0f64; BLOCK_ROWS];
-        for (b, chunk) in ds.as_flat().chunks(BLOCK_ROWS * dim).enumerate() {
-            let d2s = &mut buf[..chunk.len() / dim];
-            kernels::dists_to_block(q, chunk, dim, d2s);
-            for (j, &d2) in d2s.iter().enumerate() {
-                let cand = DistId(d2, b * BLOCK_ROWS + j);
-                if cand < best {
-                    best = cand;
-                }
-            }
-        }
+        // The first `(d², id)` minimum over the whole flat block.
+        let (id, d2) = kernels::nearest_row(q, ds.as_flat(), ds.dim());
         tally.queries += 1;
         tally.dist_evals += self.n as u64;
         tally.sqrt_evals += 1;
-        Some(Neighbor::new(best.1, Euclidean.surrogate_to_dist(best.0)))
+        Some(Neighbor::new(id, Euclidean.surrogate_to_dist(d2)))
     }
 }
 

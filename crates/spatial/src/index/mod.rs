@@ -10,6 +10,7 @@ use crate::kernels;
 use crate::order::DistId;
 
 pub mod balltree;
+pub mod cells;
 pub mod grid;
 pub mod kdtree;
 pub mod linear;

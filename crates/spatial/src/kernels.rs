@@ -6,10 +6,11 @@
 //! to "distances from one point to a block of points". This module is the
 //! single place where that arithmetic lives: one-to-many
 //! ([`dists_to_block`]), many-to-many tiles ([`dist_tile`]), gathered
-//! candidates ([`dists_to_indexed`]) and a tiled 1-NN reduction
-//! ([`nn_block`]), all over row-major flat `f64` blocks. The loops are
-//! dimension-chunked multi-accumulator code that LLVM auto-vectorizes; no
-//! `unsafe`, no external dependencies.
+//! candidates ([`dists_to_indexed`]), a tiled 1-NN reduction
+//! ([`nn_block`]) and a one-query 1-NN ([`nearest_row`]), all over
+//! row-major flat `f64` blocks. The loops are dimension-chunked
+//! multi-accumulator code that LLVM auto-vectorizes; no `unsafe`, no
+//! external dependencies.
 //!
 //! # The canonical reduction order
 //!
@@ -251,6 +252,42 @@ pub fn dists_to_indexed(q: &[f64], flat: &[f64], dim: usize, ids: &[u32], out: &
     }
 }
 
+/// Fused one-to-many 1-NN: the row index and squared distance of the
+/// first minimum of `sq_dist(q, row)` over the rows of `block`, ties to
+/// the lower row; `(0, ∞)` for an empty block. The running minimum is
+/// kept with selects, not branches, so a short candidate list costs no
+/// mispredictions. Bit-identical to [`dists_to_block`] followed by a
+/// strict-`<` scan.
+///
+/// # Panics
+///
+/// Panics if `block` is not row-major of dimension `dim` or
+/// `q.len() != dim`.
+#[inline]
+pub fn nearest_row(q: &[f64], block: &[f64], dim: usize) -> (usize, f64) {
+    assert!(dim > 0, "dimensionality must be positive");
+    assert!(block.len().is_multiple_of(dim), "block is not row-major of dimension {dim}");
+    assert_eq!(q.len(), dim, "query dimensionality mismatch");
+    let (mut at, mut best) = (0, f64::INFINITY);
+    let mut keep = |j: usize, d2: f64| {
+        // Strict `<` keeps the earliest (lowest-row) minimum.
+        let lower = d2 < best;
+        at = if lower { j } else { at };
+        best = if lower { d2 } else { best };
+    };
+    if dim == 2 {
+        let (q0, q1) = (q[0], q[1]);
+        for (j, p) in block.chunks_exact(2).enumerate() {
+            keep(j, sq2(q0 - p[0], q1 - p[1]));
+        }
+    } else {
+        for (j, p) in block.chunks_exact(dim).enumerate() {
+            keep(j, sq_dist(q, p));
+        }
+    }
+    (at, best)
+}
+
 /// Tiled 1-NN reduction: for every row of `queries`, the index (into
 /// `reps` rows) and squared distance of its nearest representative, ties
 /// broken toward the lower index. Representatives are scanned in
@@ -412,6 +449,29 @@ mod tests {
             }
             assert_eq!((ids[qi], d2[qi].to_bits()), (bi, bd.to_bits()), "query {qi}");
         }
+    }
+
+    #[test]
+    fn nearest_row_is_the_first_minimum_of_the_block_kernel() {
+        for dim in [1usize, 2, 3, 5] {
+            let q = pseudo(1, dim, 47);
+            let block = pseudo(40, dim, 53 + dim as u64);
+            let mut all = vec![0.0; 40];
+            dists_to_block(&q, &block, dim, &mut all);
+            let (mut bi, mut bd) = (0usize, f64::INFINITY);
+            for (j, &d) in all.iter().enumerate() {
+                if d < bd {
+                    bd = d;
+                    bi = j;
+                }
+            }
+            let (at, d2) = nearest_row(&q, &block, dim);
+            assert_eq!((at, d2.to_bits()), (bi, bd.to_bits()), "dim {dim}");
+        }
+        // Ties go to the lower row; an empty block reports (0, ∞).
+        let reps = [3.0, 0.0, 0.0, 3.0, -3.0, 0.0];
+        assert_eq!(nearest_row(&[0.0, 0.0], &reps, 2), (0, 9.0));
+        assert_eq!(nearest_row(&[0.0, 0.0], &[], 2), (0, f64::INFINITY));
     }
 
     #[test]

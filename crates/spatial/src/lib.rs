@@ -15,6 +15,9 @@
 //!   correct baseline), [`KdTree`] (good for moderate dimensions) and
 //!   [`GridIndex`] (fastest for low-dimensional, density-based workloads —
 //!   the "index-based access structure" OPTICS assumes).
+//! * [`CellTable`] — exact 1-NN queries against a fixed set of 2-d points
+//!   from a precomputed candidate list per grid cell, in front of a
+//!   [`KdTree`]; the nearest-representative query of classification.
 //!
 //! # Example
 //!
@@ -47,6 +50,7 @@ pub use dataset::Dataset;
 pub use error::SpatialError;
 pub use id::{checked_id, id_u32};
 pub use index::balltree::BallTree;
+pub use index::cells::CellTable;
 pub use index::grid::GridIndex;
 pub use index::kdtree::KdTree;
 pub use index::linear::LinearScan;

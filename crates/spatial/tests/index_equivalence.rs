@@ -1,11 +1,14 @@
 //! Randomized equivalence tests: KD-tree, ball tree and grid index return
 //! exactly the results of the exhaustive linear scan, across many seeded
-//! random datasets, queries, radii and k — and every index's 1-NN query
-//! (`nearest_tallied`) returns exactly its own `knn(q, 1)`.
+//! random datasets, queries, radii and k — every index's 1-NN query
+//! (`nearest_tallied`) returns exactly its own `knn(q, 1)` — and the 2-d
+//! cell table's 1-NN query returns exactly the linear scan's.
 
+use db_datagen::{ds1, Ds1Params};
 use db_rng::Rng;
 use db_spatial::{
-    AnyIndex, BallTree, Dataset, GridIndex, KdTree, LinearScan, Neighbor, NnTally, SpatialIndex,
+    AnyIndex, BallTree, CellTable, Dataset, GridIndex, KdTree, LinearScan, Neighbor, NnTally,
+    SpatialIndex,
 };
 
 const CASES: u64 = 64;
@@ -278,4 +281,225 @@ fn nearest_tallied_descends_a_deep_tree() {
             assert_nearest_is_knn1(idx, &ds, &q, &format!("index {v} q {i}"));
         }
     }
+}
+
+// ------------------------------------------------------------ cell table
+
+/// The cell table's 1-NN equals the linear scan's on every query, in id
+/// and distance bits. Returns how many queries the table itself answered
+/// (the rest fell back to its kd-tree, which tallies visited nodes).
+fn assert_table_is_linear<'a>(
+    reps: &Dataset,
+    queries: impl IntoIterator<Item = &'a [f64]>,
+    what: &str,
+) -> (usize, usize) {
+    let table = CellTable::build(reps).unwrap_or_else(|| panic!("{what}: no table"));
+    let linear = LinearScan::build(reps);
+    let (mut by_table, mut total) = (0, 0);
+    for (i, q) in queries.into_iter().enumerate() {
+        let mut tally = NnTally::default();
+        let got = table.nearest_tallied(reps, q, &mut tally).expect("non-empty");
+        let want = linear.nearest(reps, q).expect("non-empty");
+        assert_eq!(
+            (got.id, got.dist.to_bits()),
+            (want.id, want.dist.to_bits()),
+            "{what}: query {i} at {q:?}"
+        );
+        assert_eq!((tally.queries, tally.sqrt_evals), (1, 1), "{what}: query {i} tally");
+        by_table += usize::from(tally.nodes_visited == 0);
+        total += 1;
+    }
+    (by_table, total)
+}
+
+fn uniform(rng: &mut Rng, n: usize, lo: f64, hi: f64) -> Dataset {
+    let mut ds = Dataset::new(2).unwrap();
+    for _ in 0..n {
+        ds.push(&[rng.gen_f64(lo, hi), rng.gen_f64(lo, hi)]).unwrap();
+    }
+    ds
+}
+
+#[test]
+fn cell_table_equals_linear_on_uniform_random_reps() {
+    for (seed, k) in [(1u64, 129usize), (2, 300), (3, 1000), (4, 2500)] {
+        let mut rng = Rng::seed_from_u64(1100 + seed);
+        let reps = uniform(&mut rng, k, -50.0, 50.0);
+        let mut queries = uniform(&mut rng, 3000, -52.0, 52.0);
+        for p in reps.iter() {
+            queries.push(p).unwrap();
+        }
+        let (by_table, total) = assert_table_is_linear(&reps, queries.iter(), &format!("k={k}"));
+        assert!(by_table * 10 > total * 9, "k={k}: the table answered {by_table}/{total}");
+    }
+}
+
+#[test]
+fn cell_table_equals_linear_on_ds1() {
+    let data = ds1(&Ds1Params { n: 20_000, ..Ds1Params::default() }, 1).data;
+    for k in [129usize, 1000, 4000] {
+        let reps = data.subset(&(0..k).map(|i| i * 5).collect::<Vec<_>>());
+        let queries = (0..data.len()).step_by(3).map(|i| data.point(i));
+        let (by_table, total) = assert_table_is_linear(&reps, queries, &format!("DS1 k={k}"));
+        assert!(by_table * 20 > total * 19, "k={k}: the table answered {by_table}/{total}");
+    }
+}
+
+/// A 24 × 18 integer lattice, stored twice over (ids 0..432 and 432..864).
+fn lattice_twice() -> Dataset {
+    let mut reps = Dataset::new(2).unwrap();
+    for _copy in 0..2 {
+        for y in 0..18 {
+            for x in 0..24 {
+                reps.push(&[f64::from(x), f64::from(y)]).unwrap();
+            }
+        }
+    }
+    reps
+}
+
+#[test]
+fn cell_table_breaks_exact_ties_by_lower_id() {
+    // Edge midpoints tie 2 lattice points, cell centres 4, and every tie
+    // is doubled by the second copy: the lowest id must win.
+    let reps = lattice_twice();
+    let mut queries = Vec::new();
+    for y in 0..17 {
+        for x in 0..23 {
+            let (x, y) = (f64::from(x), f64::from(y));
+            queries.extend([[x + 0.5, y], [x, y + 0.5], [x + 0.5, y + 0.5], [x, y]]);
+        }
+    }
+    let (by_table, total) =
+        assert_table_is_linear(&reps, queries.iter().map(|q| &q[..]), "lattice ties");
+    assert_eq!(by_table, total, "every lattice query lies inside the grid");
+    let table = CellTable::build(&reps).unwrap();
+    for q in &queries {
+        let got = table.nearest(&reps, q).unwrap().id;
+        assert!(got < 432, "a second copy won at {q:?}");
+    }
+}
+
+#[test]
+fn cell_table_is_exact_on_cell_edges() {
+    // Queries exactly on every grid line of the table, and one ulp to
+    // either side of it, along both axes.
+    let reps = lattice_twice();
+    let table = CellTable::build(&reps).unwrap();
+    let (origin, side) = (table.origin(), table.side());
+    let mut queries = Vec::new();
+    let mut rng = Rng::seed_from_u64(1200);
+    for i in 0..60 {
+        let line = [origin[0] + f64::from(i) * side, origin[1] + f64::from(i) * side];
+        for edge in [line[0], line[0].next_down(), line[0].next_up()] {
+            queries.push([edge, rng.gen_f64(-1.0, 18.0)]);
+        }
+        for edge in [line[1], line[1].next_down(), line[1].next_up()] {
+            queries.push([rng.gen_f64(-1.0, 24.0), edge]);
+        }
+        queries.push([line[0], line[1]]);
+    }
+    let (by_table, total) =
+        assert_table_is_linear(&reps, queries.iter().map(|q| &q[..]), "cell edges");
+    assert!(by_table * 2 > total, "the table answered {by_table}/{total}");
+}
+
+#[test]
+fn cell_table_equals_linear_on_duplicate_reps() {
+    // Every point three times over: ties between copies at every query.
+    let mut rng = Rng::seed_from_u64(1300);
+    let base = uniform(&mut rng, 100, 0.0, 10.0);
+    let mut reps = Dataset::new(2).unwrap();
+    for _copy in 0..3 {
+        for p in base.iter() {
+            reps.push(p).unwrap();
+        }
+    }
+    let queries = uniform(&mut rng, 2000, 0.0, 10.0);
+    let all = queries.iter().chain(base.iter());
+    let (by_table, total) = assert_table_is_linear(&reps, all, "duplicates");
+    assert!(by_table * 10 > total * 9, "the table answered {by_table}/{total}");
+}
+
+#[test]
+fn cell_table_sends_queries_outside_the_grid_to_its_tree() {
+    let mut rng = Rng::seed_from_u64(1400);
+    let reps = uniform(&mut rng, 500, -10.0, 10.0);
+    let far = [[-1e3, 0.0], [1e3, 5.0], [0.0, 1e6], [3.0, -1e9], [f64::MAX, 0.0], [-1e300, 1e300]];
+    let (by_table, _) = assert_table_is_linear(&reps, far.iter().map(|q| &q[..]), "outside");
+    assert_eq!(by_table, 0, "queries outside the grid must take the tree");
+}
+
+#[test]
+fn cell_table_spans_the_gap_between_two_squares() {
+    // Two 10 × 18 squares 200 apart (the supervision suite's layout):
+    // most grid cells lie in the empty gap between them.
+    let mut ds = Dataset::new(2).unwrap();
+    for i in 0..4600 {
+        let (x, y) = (f64::from(i % 50) * 0.2, f64::from(i / 50) * 0.2);
+        ds.push(&[x, y]).unwrap();
+        ds.push(&[x + 200.0, y]).unwrap();
+    }
+    let reps = ds.subset(&(0..2000).map(|i| i * 4 + i % 3).collect::<Vec<_>>());
+    let mut rng = Rng::seed_from_u64(1500);
+    let gap: Vec<[f64; 2]> =
+        (0..3000).map(|_| [rng.gen_f64(-5.0, 215.0), rng.gen_f64(-5.0, 23.0)]).collect();
+    let queries = ds.iter().step_by(2).chain(gap.iter().map(|q| &q[..]));
+    let (by_table, total) = assert_table_is_linear(&reps, queries, "two squares");
+    assert!(by_table * 2 > total, "the table answered {by_table}/{total}");
+}
+
+#[test]
+fn huge_and_tiny_coordinates_stay_exact() {
+    // Near 1e150 the squared distances (~1e300) are still finite; near
+    // 1e-160 they underflow, so no table is built and the tree answers.
+    // Either way every answer is the linear scan's.
+    for scale in [1e150, 1e-160] {
+        let mut rng = Rng::seed_from_u64(1600);
+        let unit = uniform(&mut rng, 400, 1.0, 2.0);
+        let at = |p: &[f64]| [p[0] * scale, p[1] * scale];
+        let mut reps = Dataset::new(2).unwrap();
+        for p in unit.iter() {
+            reps.push(&at(p)).unwrap();
+        }
+        let queries: Vec<[f64; 2]> = uniform(&mut rng, 1000, 0.9, 2.1).iter().map(at).collect();
+        let table = CellTable::build(&reps);
+        assert_eq!(table.is_some(), scale > 1.0, "scale {scale:e}");
+        let linear = LinearScan::build(&reps);
+        if table.is_some() {
+            assert_table_is_linear(&reps, queries.iter().map(|q| &q[..]), "huge");
+        }
+        let tree = KdTree::build(&reps);
+        for q in &queries {
+            let (got, want) = (tree.nearest(&reps, q).unwrap(), linear.nearest(&reps, q).unwrap());
+            assert_eq!((got.id, got.dist.to_bits()), (want.id, want.dist.to_bits()), "{q:?}");
+        }
+    }
+}
+
+#[test]
+fn cell_table_declines_what_it_cannot_serve() {
+    let mut rng = Rng::seed_from_u64(1700);
+    // Wrong dimensionality.
+    for dim in [1usize, 3] {
+        assert!(CellTable::build(&random_dataset(&mut rng, 500, dim)).is_none(), "d = {dim}");
+    }
+    // Collinear: along an axis (zero extent) and along a diagonal, where
+    // the points crowd into few cells and every list runs along the line.
+    let mut flat = Dataset::new(2).unwrap();
+    let mut diagonal = Dataset::new(2).unwrap();
+    for i in 0..20_000 {
+        let t = f64::from(i) * 0.01;
+        flat.push(&[t, 2.0]).unwrap();
+        diagonal.push(&[t, 0.5 * t]).unwrap();
+    }
+    assert!(CellTable::build(&flat).is_none(), "axis-parallel line");
+    assert!(CellTable::build(&diagonal).is_none(), "diagonal line");
+    // A single point, and an empty set.
+    assert!(CellTable::build(&Dataset::from_rows(2, &[&[1.0, 1.0]]).unwrap()).is_none());
+    assert!(CellTable::build(&Dataset::new(2).unwrap()).is_none());
+    // A non-finite coordinate.
+    assert!(
+        CellTable::build(&Dataset::from_flat_unchecked(2, vec![0.0, 0.0, f64::NAN, 1.0])).is_none()
+    );
 }
