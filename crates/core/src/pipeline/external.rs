@@ -22,7 +22,7 @@ use db_birch::Cf;
 use db_optics::{optics, ClusterOrdering};
 use db_rng::Rng;
 use db_sampling::NearestRep;
-use db_spatial::io::{read_csv_from, CsvError, CsvOptions};
+use db_spatial::io::{parse_row, CsvError, CsvOptions};
 use db_spatial::{id_u32, Dataset, NnTally};
 use db_supervise::Supervisor;
 
@@ -102,13 +102,14 @@ impl From<CsvError> for ExternalError {
     }
 }
 
-/// Streams the data rows of a CSV file: calls `f(row_index, byte_offset,
-/// line)` for every data line (after `skip_lines`, skipping comments and
-/// blanks). Returns the number of data rows.
+/// Streams the data rows of a CSV file: calls `f(row_index, line_no,
+/// byte_offset, line)` for every data line (after `skip_lines`, skipping
+/// comments and blanks), where `line_no` is the 1-based physical line.
+/// Returns the number of data rows.
 fn stream_rows(
     path: &Path,
     csv: &CsvOptions,
-    mut f: impl FnMut(usize, u64, &str) -> Result<(), ExternalError>,
+    mut f: impl FnMut(usize, usize, u64, &str) -> Result<(), ExternalError>,
 ) -> Result<usize, ExternalError> {
     let file = File::open(path)?;
     let mut reader = BufReader::new(file);
@@ -132,23 +133,10 @@ fn stream_rows(
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        f(row, this_offset, trimmed)?;
+        f(row, physical, this_offset, trimmed)?;
         row += 1;
     }
     Ok(row)
-}
-
-/// Parses the coordinates of one data line.
-fn parse_row(line: &str, csv: &CsvOptions, out: &mut Vec<f64>) -> Result<(), ExternalError> {
-    out.clear();
-    // Reuse the tolerant field splitting of the CSV reader via a one-line
-    // parse (cheap relative to the distance work per row).
-    let ds = read_csv_from(
-        line.as_bytes(),
-        &CsvOptions { skip_columns: csv.skip_columns, skip_lines: 0 },
-    )?;
-    out.extend_from_slice(ds.point(0));
-    Ok(())
 }
 
 /// Runs the external pipeline: reads `input`, writes the cluster-ordered
@@ -172,8 +160,11 @@ pub fn run_external(
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut reservoir: Vec<Vec<f64>> = Vec::with_capacity(cfg.k);
     let mut coords = Vec::new();
-    let rows = stream_rows(input, &cfg.csv, |row, _, line| {
-        parse_row(line, &cfg.csv, &mut coords)?;
+    // The first data row fixes the width every later row must match.
+    let mut width: Option<usize> = None;
+    let rows = stream_rows(input, &cfg.csv, |row, line_no, _, line| {
+        parse_row(line, &cfg.csv, line_no, width, &mut coords)?;
+        width = Some(coords.len());
         if reservoir.len() < cfg.k {
             reservoir.push(coords.clone());
         } else {
@@ -184,18 +175,14 @@ pub fn run_external(
         }
         Ok(())
     })?;
-    if rows < cfg.k || rows == 0 || cfg.k == 0 {
+    let Some(dim) = width.filter(|_| rows >= cfg.k && cfg.k > 0) else {
         return Err(ExternalError::NotEnoughRows { rows, k: cfg.k });
-    }
-    let dim = reservoir[0].len();
-    let Ok(mut reps) = Dataset::with_capacity(dim, cfg.k) else {
-        // Zero-width rows: the file parsed but carries no coordinates.
-        return Err(ExternalError::Csv(CsvError::RaggedRow { line: 1, expected: 1, got: dim }));
     };
+    // `parse_row` checked every sampled row's width and finiteness, so
+    // these fail only for a `k` beyond the u32 id range.
+    let mut reps = Dataset::with_capacity(dim, cfg.k).map_err(CsvError::from)?;
     for r in &reservoir {
-        reps.push(r).map_err(|_| {
-            ExternalError::Csv(CsvError::RaggedRow { line: 0, expected: dim, got: r.len() })
-        })?;
+        reps.push(r).map_err(CsvError::from)?;
     }
 
     // ---------------------------------------------------------- pass 2
@@ -205,15 +192,8 @@ pub fn run_external(
     let mut offsets: Vec<u64> = Vec::with_capacity(rows);
     // One tally for the stream, flushed once whether or not it finishes.
     let mut tally = NnTally::default();
-    let streamed = stream_rows(input, &cfg.csv, |_, offset, line| {
-        parse_row(line, &cfg.csv, &mut coords)?;
-        if coords.len() != dim {
-            return Err(ExternalError::Csv(CsvError::RaggedRow {
-                line: 0,
-                expected: dim,
-                got: coords.len(),
-            }));
-        }
+    let streamed = stream_rows(input, &cfg.csv, |_, line_no, offset, line| {
+        parse_row(line, &cfg.csv, line_no, Some(dim), &mut coords)?;
         let rep = nearest.nearest_tallied(&reps, &coords, &mut tally);
         stats[rep].add_point(&coords);
         assignment.push(id_u32(rep));
@@ -387,6 +367,55 @@ mod tests {
             other => panic!("expected NotEnoughRows, got {other:?}"),
         }
         std::fs::remove_file(&input).ok();
+    }
+
+    /// Runs the pipeline over `text` and returns its CSV error.
+    fn csv_error(name: &str, text: &str) -> CsvError {
+        let input = tmp(name);
+        let output = tmp(&format!("out-{name}"));
+        std::fs::write(&input, text).unwrap();
+        let cfg = ExternalConfig {
+            k: 2,
+            optics: OpticsParams::default(),
+            seed: 0,
+            csv: CsvOptions::default(),
+        };
+        let res = run_external(&input, &output, &cfg);
+        std::fs::remove_file(&input).ok();
+        std::fs::remove_file(&output).ok();
+        match res {
+            Err(ExternalError::Csv(e)) => e,
+            other => panic!("expected a CSV error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_rows_report_their_physical_line() {
+        // Line 1 is a comment and line 4 is blank, so physical lines and
+        // data-row indices differ.
+        let head = "# x,y,z\n1,2,3\n4,5,6\n\n";
+        match csv_error("bad7.csv", &format!("{head}7,8,9\n1,1,1\n1,oops,3\n2,2,2\n")) {
+            CsvError::BadNumber { line, field } => assert_eq!((line, field.as_str()), (7, "oops")),
+            other => panic!("expected BadNumber, got {other:?}"),
+        }
+        match csv_error("nan6.csv", &format!("{head}7,8,9\n1,inf,1\n")) {
+            CsvError::NonFinite { line, field } => assert_eq!((line, field.as_str()), (6, "inf")),
+            other => panic!("expected NonFinite, got {other:?}"),
+        }
+        // The width comes from the first data row (line 2), not from
+        // whichever row the reservoir holds first.
+        match csv_error("short5.csv", &format!("{head}7,8\n1,1,1\n1,1,1\n")) {
+            CsvError::RaggedRow { line, expected, got } => {
+                assert_eq!((line, expected, got), (5, 3, 2));
+            }
+            other => panic!("expected RaggedRow, got {other:?}"),
+        }
+        match csv_error("none2.csv", "# ids only\n,\n1\n") {
+            CsvError::BadNumber { line, field } => {
+                assert_eq!((line, field.as_str()), (2, "<no numeric columns>"));
+            }
+            other => panic!("expected BadNumber, got {other:?}"),
+        }
     }
 
     #[test]

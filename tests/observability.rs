@@ -148,6 +148,23 @@ fn linked_worker_spans_attribute_into_parent() {
 }
 
 #[test]
+fn csv_reader_records_its_span_and_row_count() {
+    let _g = locked();
+    db_obs::reset();
+    let input = "x,y\n# comment\n1,2\n\n3,4\n5,6\n";
+    let options = db_spatial::CsvOptions { skip_lines: 1, skip_columns: 0 };
+    let ds = db_spatial::read_csv_from(input.as_bytes(), &options).unwrap();
+    let snap = db_obs::snapshot();
+
+    // The span carries perfbench's layer name, so a production trace and
+    // a bench report name the same layer.
+    let span = snap.span("spatial.read_csv").expect("spatial.read_csv span");
+    assert_eq!(span.count, 1);
+    assert_eq!(snap.counter("spatial.csv_rows"), Some(ds.len() as u64));
+    assert_eq!(ds.len(), 3);
+}
+
+#[test]
 fn exporters_render_pipeline_metrics() {
     let _g = locked();
     db_obs::reset();
