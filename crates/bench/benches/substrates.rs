@@ -10,7 +10,7 @@ use db_datagen::{ds1, Ds1Params};
 use db_hierarchical::slink;
 use db_optics::{optics, OpticsParams, OpticsSpace};
 use db_sampling::compress_by_sampling;
-use db_spatial::{GridIndex, KdTree, LinearScan, SpatialIndex};
+use db_spatial::{KdTree, LinearScan, SpatialIndex};
 use std::hint::black_box;
 
 fn data(n: usize) -> db_datagen::LabeledDataset {
@@ -54,20 +54,10 @@ fn sampling_bench() {
 fn index_bench() {
     let d = data(10_000);
     let eps = 2.0;
-    let grid = GridIndex::build(&d.data, eps).unwrap();
     let tree = KdTree::build(&d.data);
     let lin = LinearScan::build(&d.data);
     let g = Group::new("index_range_queries", 20);
     let queries: Vec<usize> = (0..100).map(|i| i * 97 % d.len()).collect();
-    g.bench("grid", || {
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        for &q in &queries {
-            grid.range(&d.data, d.data.point(q), eps, &mut out);
-            total += out.len();
-        }
-        total
-    });
     g.bench("kdtree", || {
         let mut out = Vec::new();
         let mut total = 0usize;

@@ -4,17 +4,14 @@
 //! 1. **Bubble distance (Def. 6) vs. plain rep-to-rep distance** — why the
 //!    structural distortion disappears;
 //! 2. **Virtual reachability (Def. 9) vs. §5-style weighted expansion** on
-//!    the same bubble ordering;
-//! 3. **Spatial index choice** for the full-OPTICS reference run.
+//!    the same bubble ordering.
 
 use std::io;
-use std::time::Instant;
 
 use data_bubbles::pipeline::{expand_bubbles, expand_weighted};
 use data_bubbles::{BubbleSpace, DataBubble};
-use db_optics::{optics, optics_points, OpticsParams, PointSpace};
+use db_optics::optics;
 use db_sampling::compress_by_sampling;
-use db_spatial::{AnyIndex, GridIndex, KdTree, LinearScan};
 
 use crate::config::RunConfig;
 use crate::experiments::common::{dents, ds1_setup, expanded_quality};
@@ -29,24 +26,17 @@ struct AblationRow {
 
 db_obs::impl_to_json!(AblationRow { ablation, variant, ari, dents });
 
-struct IndexRow {
-    index: &'static str,
-    runtime_s: f64,
-}
-
-db_obs::impl_to_json!(IndexRow { index, runtime_s });
-
 /// Runs all ablations.
 pub fn run(cfg: &RunConfig) -> io::Result<()> {
     let mut rep = Report::new("ablations", &cfg.out_dir)?;
-    rep.line("Ablations: bubble distance, virtual reachability, index choice");
+    rep.line("Ablations: bubble distance, virtual reachability");
     rep.line(format!("scale = {:?}", cfg.scale));
     let data = cfg.make_ds1();
     let setup = ds1_setup(data.len());
     let k = (data.len() / 1_000).max(10);
     let mut rows: Vec<AblationRow> = Vec::new();
 
-    // Shared compression for ablations 1 and 2.
+    // Shared compression for both ablations.
     let compressed = compress_by_sampling(&data.data, k, cfg.seed)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let members = compressed.members();
@@ -105,45 +95,5 @@ pub fn run(cfg: &RunConfig) -> io::Result<()> {
         dents: d_weighted,
     });
 
-    // --- Ablation 3: index choice for the reference run. ----------------
-    rep.section("ablation 3: spatial index for the full-OPTICS reference");
-    // Cap the size so the linear scan stays feasible.
-    let n_idx = data.len().min(20_000);
-    let subset = data.prefix(n_idx);
-    let sub_setup = ds1_setup(n_idx);
-    let mut index_rows = Vec::new();
-    let variants: [(&'static str, AnyIndex); 3] = [
-        ("grid", AnyIndex::Grid(GridIndex::build(&subset.data, sub_setup.eps).expect("grid ok"))),
-        ("kd-tree", AnyIndex::KdTree(KdTree::build(&subset.data))),
-        ("linear", AnyIndex::Linear(LinearScan::build(&subset.data))),
-    ];
-    for (name, index) in variants {
-        let t = Instant::now();
-        let space = PointSpace::with_index(&subset.data, index);
-        let o = optics(&space, &OpticsParams { eps: sub_setup.eps, min_pts: sub_setup.min_pts });
-        let dt = t.elapsed();
-        assert_eq!(o.len(), n_idx);
-        rep.line(format!("{name:>8}: {:.3}s (n = {n_idx})", dt.as_secs_f64()));
-        index_rows.push(IndexRow { index: name, runtime_s: dt.as_secs_f64() });
-    }
-    // Sanity: same walk irrespective of the index.
-    {
-        let a = optics_points(&subset.data, &sub_setup.optics());
-        let space =
-            PointSpace::with_index(&subset.data, AnyIndex::KdTree(KdTree::build(&subset.data)));
-        let b = optics(&space, &sub_setup.optics());
-        let same = a.entries.iter().zip(&b.entries).all(|(x, y)| {
-            x.id == y.id && (x.reachability - y.reachability).abs() < 1e-9
-                || (x.reachability.is_infinite() && y.reachability.is_infinite() && x.id == y.id)
-        });
-        rep.line(format!("walks identical across indexes: {same}"));
-    }
-
-    struct All {
-        quality: Vec<AblationRow>,
-        index: Vec<IndexRow>,
-    }
-
-    db_obs::impl_to_json!(All { quality, index });
-    rep.finish(Some(&All { quality: rows, index: index_rows }))
+    rep.finish(Some(&rows))
 }

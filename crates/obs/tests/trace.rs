@@ -12,7 +12,7 @@
 #![cfg(feature = "tracing")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Barrier, Once, PoisonError, RwLock, RwLockReadGuard};
 
 use db_obs::trace::{self, RunId};
 use db_obs::{trace_json, Json, TraceEvent, TraceEventKind};
@@ -69,8 +69,13 @@ fn concurrent_writers_never_yield_torn_events() {
     const PER_WRITER: u64 = 5_000;
     let names: Vec<&'static str> = (0..WRITERS).map(|i| &*format!("torn.w{i}").leak()).collect();
     let stop = Arc::new(AtomicBool::new(false));
+    // A thread's ring is released for reuse when the thread exits, so
+    // another test's thread could overwrite every slot before the final
+    // read. The writers therefore wait, once written, until that read is
+    // taken.
+    let (written, read) = (&Barrier::new(WRITERS + 1), &Barrier::new(WRITERS + 1));
 
-    std::thread::scope(|s| {
+    let evs = std::thread::scope(|s| {
         let writers: Vec<_> = names
             .iter()
             .enumerate()
@@ -81,6 +86,8 @@ fn concurrent_writers_never_yield_torn_events() {
                     for seq in 0..PER_WRITER {
                         trace::record_instant(id, 0, (i as u64) << 32 | seq);
                     }
+                    written.wait();
+                    read.wait();
                 })
             })
             .collect();
@@ -101,16 +108,21 @@ fn concurrent_writers_never_yield_torn_events() {
                 }
             })
         };
+        written.wait();
+        stop.store(true, Ordering::Relaxed);
+        reader.join().unwrap();
+        // Final consistent snapshot, taken while every writer still holds
+        // its ring.
+        let evs = my_events(run);
+        read.wait();
         for w in writers {
             w.join().unwrap();
         }
-        stop.store(true, Ordering::Relaxed);
-        reader.join().unwrap();
+        evs
     });
 
-    // Final consistent snapshot: per thread, timestamps are monotone and
-    // sequence numbers strictly increase (each writer had its own ring).
-    let evs = my_events(run);
+    // Per thread, timestamps are monotone and sequence numbers strictly
+    // increase (each writer had its own ring).
     assert!(!evs.is_empty());
     let mut by_tid: std::collections::HashMap<u64, Vec<&TraceEvent>> = Default::default();
     for e in &evs {

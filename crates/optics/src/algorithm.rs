@@ -217,12 +217,10 @@ impl WalkTally {
     }
 }
 
-/// Convenience wrapper: OPTICS over a plain dataset with an automatically
-/// selected spatial index.
+/// Convenience wrapper: OPTICS over a plain dataset, its range queries
+/// answered by a kd-tree ([`PointSpace`]).
 pub fn optics_points(ds: &Dataset, params: &OpticsParams) -> ClusterOrdering {
-    let eps_hint = params.eps.is_finite().then_some(params.eps);
-    let space = PointSpace::new(ds, eps_hint);
-    optics(&space, params)
+    optics(&PointSpace::new(ds), params)
 }
 
 /// [`optics_points`] under supervision (see [`optics_supervised`]).
@@ -235,9 +233,7 @@ pub fn optics_points_supervised(
     params: &OpticsParams,
     sup: &Supervisor,
 ) -> Result<ClusterOrdering, Stop> {
-    let eps_hint = params.eps.is_finite().then_some(params.eps);
-    let space = PointSpace::new(ds, eps_hint);
-    optics_supervised(&space, params, sup)
+    optics_supervised(&PointSpace::new(ds), params, sup)
 }
 
 #[cfg(test)]
@@ -479,7 +475,7 @@ mod tests {
     #[test]
     fn point_space_keeps_the_heap() {
         let ds = line_clusters();
-        let space = PointSpace::new(&ds, None);
+        let space = PointSpace::new(&ds);
         let rows = space.distance_rows(&OpticsParams::default(), &Supervisor::unlimited());
         assert!(rows.expect("no up-front work").is_none());
     }

@@ -56,10 +56,10 @@ pub fn dbscan_core<S: OpticsSpace>(space: &S, eps: f64, min_pts: usize) -> Vec<i
     labels
 }
 
-/// DBSCAN over a plain dataset with an automatically selected index.
+/// DBSCAN over a plain dataset, its range queries answered by a kd-tree
+/// ([`PointSpace`]).
 pub fn dbscan(ds: &Dataset, eps: f64, min_pts: usize) -> Vec<i32> {
-    let space = PointSpace::new(ds, Some(eps));
-    dbscan_core(&space, eps, min_pts)
+    dbscan_core(&PointSpace::new(ds), eps, min_pts)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! cut, based on the classic sorted k-NN-distance ("k-dist") analysis of
 //! the DBSCAN/OPTICS papers.
 
-use db_spatial::{auto_index, Dataset, SpatialIndex};
+use db_spatial::{Dataset, KdTree, SpatialIndex};
 
 /// The sorted MinPts-NN distances of a sample of points — the "k-dist
 /// plot" used to choose density parameters by eye; [`suggest_eps`] picks
@@ -17,7 +17,7 @@ use db_spatial::{auto_index, Dataset, SpatialIndex};
 pub fn k_distances(ds: &Dataset, min_pts: usize, max_sample: usize) -> Vec<f64> {
     assert!(!ds.is_empty(), "dataset must be non-empty");
     assert!(min_pts >= 1, "MinPts must be positive");
-    let index = auto_index(ds, None);
+    let index = KdTree::build(ds);
     let stride = (ds.len() / max_sample.max(1)).max(1);
     let mut out = Vec::with_capacity(ds.len() / stride + 1);
     let mut nn = Vec::new();

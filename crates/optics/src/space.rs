@@ -1,7 +1,7 @@
 //! The [`OpticsSpace`] abstraction and its implementation for plain vector
 //! data.
 
-use db_spatial::{auto_index, AnyIndex, Dataset, Neighbor, SpatialIndex};
+use db_spatial::{Dataset, KdTree, Neighbor, SpatialIndex};
 use db_supervise::{Stop, Supervisor};
 
 /// Parameters of an OPTICS run: the generating distance ε and the density
@@ -99,28 +99,19 @@ pub trait DistanceRows {
 }
 
 /// [`OpticsSpace`] over a plain [`Dataset`]: Definitions 2–3 of the Data
-/// Bubbles paper (= the original OPTICS definitions).
+/// Bubbles paper (= the original OPTICS definitions). Its ε-range queries
+/// go to a [`KdTree`] over the points, the "index-based access structure"
+/// OPTICS assumes.
 #[derive(Debug)]
 pub struct PointSpace<'a> {
     ds: &'a Dataset,
-    index: AnyIndex,
+    index: KdTree,
 }
 
 impl<'a> PointSpace<'a> {
-    /// Builds the space with an automatically chosen index ([`auto_index`])
-    /// using `eps_hint` as the grid cell width hint.
-    pub fn new(ds: &'a Dataset, eps_hint: Option<f64>) -> Self {
-        Self { ds, index: auto_index(ds, eps_hint) }
-    }
-
-    /// Builds the space with an explicitly chosen index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index was not built over `ds` (length mismatch).
-    pub fn with_index(ds: &'a Dataset, index: AnyIndex) -> Self {
-        assert_eq!(ds.len(), index.len(), "index/dataset mismatch");
-        Self { ds, index }
+    /// Builds the space and its kd-tree.
+    pub fn new(ds: &'a Dataset) -> Self {
+        Self { ds, index: KdTree::build(ds) }
     }
 
     /// The underlying dataset.
@@ -165,7 +156,7 @@ mod tests {
     #[test]
     fn neighborhood_includes_self_sorted() {
         let d = ds();
-        let space = PointSpace::new(&d, Some(2.0));
+        let space = PointSpace::new(&d);
         let mut out = Vec::new();
         space.neighborhood(1, 1.5, &mut out);
         assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 0, 2]);
@@ -175,7 +166,7 @@ mod tests {
     #[test]
     fn core_distance_definition_3() {
         let d = ds();
-        let space = PointSpace::new(&d, None);
+        let space = PointSpace::new(&d);
         let mut out = Vec::new();
         space.neighborhood(0, 2.5, &mut out); // {0, 1, 2}
                                               // MinPts=3: core-dist = distance to 3rd closest (incl. self) = 2.0.
@@ -189,19 +180,10 @@ mod tests {
     #[test]
     fn weight_is_one_for_points() {
         let d = ds();
-        let space = PointSpace::new(&d, None);
+        let space = PointSpace::new(&d);
         assert_eq!(space.weight(0), 1);
         assert_eq!(space.len(), 4);
         assert!(!space.is_empty());
         assert_eq!(space.dataset().len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "index/dataset mismatch")]
-    fn with_index_checks_length() {
-        let a = ds();
-        let b = Dataset::from_rows(1, &[&[0.0]]).unwrap();
-        let idx = auto_index(&b, None);
-        PointSpace::with_index(&a, idx);
     }
 }

@@ -21,6 +21,8 @@
 //! [`IncrementalCompression::absorb`] forms remain as thin wrappers for
 //! validated input only.
 
+use std::sync::Arc;
+
 use db_birch::Cf;
 use db_spatial::{id_u32, Dataset, NnTally, SpatialError};
 
@@ -31,7 +33,8 @@ use crate::{CompressedSample, NearestRep};
 #[derive(Debug, Clone)]
 pub struct IncrementalCompression {
     reps: Dataset,
-    nearest: NearestRep,
+    /// Built once for the fixed representatives and shared by every clone.
+    nearest: Arc<NearestRep>,
     stats: Vec<Cf>,
     assignment: Vec<u32>,
     /// Objects absorbed so far. Equal to `assignment.len()` except in
@@ -49,7 +52,7 @@ impl IncrementalCompression {
     pub fn from_sample(sample: &CompressedSample) -> Self {
         Self {
             reps: sample.reps.clone(),
-            nearest: NearestRep::new(&sample.reps),
+            nearest: Arc::new(NearestRep::new(&sample.reps)),
             stats: sample.stats.clone(),
             assignment: sample.assignment.clone(),
             absorbed: sample.assignment.len(),
@@ -66,7 +69,7 @@ impl IncrementalCompression {
         let stats = reps.iter().map(Cf::from_point).collect();
         let assignment: Vec<u32> = (0..id_u32(reps.len())).collect();
         let absorbed = assignment.len();
-        let nearest = NearestRep::new(&reps);
+        let nearest = Arc::new(NearestRep::new(&reps));
         Self { reps, nearest, stats, assignment, absorbed }
     }
 
@@ -94,6 +97,13 @@ impl IncrementalCompression {
     /// The representatives.
     pub fn representatives(&self) -> &Dataset {
         &self.reps
+    }
+
+    /// The nearest-representative query state of [`Self::representatives`],
+    /// fixed with them: holders of a clone of the [`Arc`] answer nearest
+    /// queries without building their own.
+    pub fn nearest_rep(&self) -> &Arc<NearestRep> {
+        &self.nearest
     }
 
     /// Total mass (sum of per-representative CF counts). Equals

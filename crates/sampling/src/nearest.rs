@@ -8,13 +8,13 @@
 //!
 //! * `k ≤ NN_KERNEL_MAX_REPS` → the dense kernel over the flat block;
 //! * `d = 2` and a [`CellTable`] builds → the cell table;
-//! * otherwise → a spatial index ([`auto_index`]).
+//! * otherwise → a [`KdTree`].
 //!
 //! All three return the exact `(d², id)` nearest representative, bit for
 //! bit the same, so the route is a pure performance choice.
 
 use db_spatial::{
-    auto_index, id_u32, kernels, AnyIndex, CellTable, Dataset, NnTally, SpatialIndex,
+    id_u32, kernels, CellTable, Dataset, Euclidean, KdTree, Metric, Neighbor, NnTally, SpatialIndex,
 };
 use db_supervise::{Stop, Ticker};
 
@@ -22,7 +22,7 @@ use db_supervise::{Stop, Ticker};
 /// ([`kernels::nn_block`], [`kernels::nearest_row`]). The three routes
 /// of [`NearestRep`]: k ≤ this bound takes the kernel; above it, 2-d
 /// representatives take the [`CellTable`] when it builds, and everything
-/// else a tree ([`auto_index`]). The kernel streams the flat
+/// else a [`KdTree`]. The kernel streams the flat
 /// representative block through cache with no pointer chasing and no
 /// square roots; the table scans a short list and a tree a few leaves
 /// per query whatever k is, so they win once k grows. All routes are
@@ -34,15 +34,16 @@ use db_supervise::{Stop, Ticker};
 /// (2-d) on 2 threads, 2-vCPU host, reps drawn at random. Kernel → tree:
 /// k = 64: 0.076 → 0.094 s; 96: 0.129 → 0.106 s; 128: 0.164 → 0.118 s;
 /// 256: 0.325 → 0.129 s; 512: 0.612 → 0.140 s. On 200k points of the
-/// 15-Gaussian family the tree also wins at k = 128 (d = 5: 0.063 →
-/// 0.035 s; d = 16: 0.147 → 0.111 s) and the kernel at k = 64 in d = 16
-/// (0.076 → 0.086 s). Kernel → cell table (build included): k = 8:
-/// 0.020 → 0.026 s; 16: 0.029 → 0.027 s; 24: 0.039 → 0.030 s; 64: 0.097
-/// → 0.034 s; 128: 0.210 → 0.041 s. So at d = 2 the table wins from
-/// k ≈ 16–24, but the bound serves every dimensionality, and off d = 2
-/// the kernel wins up to 64–96. It stays 128, not 64–96, so that the
-/// tests pinning the kernel route with 100 and 120 representatives
-/// (d = 4 and 3) keep exercising it.
+/// 15-Gaussian family (one thread, median of 5, reps at a fixed stride)
+/// the kd-tree wins from k = 64 on: kernel → kd-tree at k = 64 / 128,
+/// d = 5: 0.047 → 0.035 / 0.088 → 0.041 s; d = 9: 0.058 → 0.040 /
+/// 0.111 → 0.045 s; d = 16: 0.079 → 0.044 / 0.158 → 0.067 s; d = 20:
+/// 0.106 → 0.061 / 0.196 → 0.082 s. Kernel → cell table (build
+/// included): k = 8: 0.020 → 0.026 s; 16: 0.029 → 0.027 s; 24: 0.039 →
+/// 0.030 s; 64: 0.097 → 0.034 s; 128: 0.210 → 0.041 s. So the
+/// table wins from k ≈ 16–24 and the kd-tree from k = 64–96 or below.
+/// The bound stays 128 so that the tests pinning the kernel route with
+/// 100 and 120 representatives (d = 4 and 3) keep exercising it.
 pub const NN_KERNEL_MAX_REPS: usize = 128;
 
 /// Query rows per kernel pass of the dense route: the query tile and its
@@ -59,8 +60,8 @@ pub enum NearestRep {
     /// The 2-d cell table, with its own kd-tree for the queries it does
     /// not cover.
     Table(CellTable),
-    /// A spatial index.
-    Tree(AnyIndex),
+    /// A kd-tree.
+    Tree(KdTree),
 }
 
 impl NearestRep {
@@ -76,7 +77,7 @@ impl NearestRep {
         }
         match CellTable::build(reps) {
             Some(table) => NearestRep::Table(table),
-            None => NearestRep::Tree(auto_index(reps, None)),
+            None => NearestRep::Tree(KdTree::build(reps)),
         }
     }
 
@@ -96,9 +97,35 @@ impl NearestRep {
                 tally.dist_evals += reps.len() as u64;
                 at
             }
-            NearestRep::Table(table) => nearest_of(table, reps, q, tally),
-            NearestRep::Tree(index) => nearest_of(index, reps, q, tally),
+            NearestRep::Table(table) => neighbor_of(table, reps, q, tally).id,
+            NearestRep::Tree(index) => neighbor_of(index, reps, q, tally).id,
         }
+    }
+
+    /// The representative nearest to `q` (ties to the lower index) with
+    /// its Euclidean distance, the square root of the canonical squared
+    /// distance: the same bits on every route. The query's events go to
+    /// the `spatial.*` counters at once; for callers that query once, not
+    /// in a loop.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::nearest_tallied`].
+    pub fn nearest(&self, reps: &Dataset, q: &[f64]) -> Neighbor {
+        let mut tally = NnTally::default();
+        let nn = match self {
+            NearestRep::Kernel => {
+                let (at, d2) = kernels::nearest_row(q, reps.as_flat(), reps.dim());
+                tally.queries += 1;
+                tally.dist_evals += reps.len() as u64;
+                tally.sqrt_evals += 1;
+                Neighbor::new(at, Euclidean.surrogate_to_dist(d2))
+            }
+            NearestRep::Table(table) => neighbor_of(table, reps, q, &mut tally),
+            NearestRep::Tree(tree) => neighbor_of(tree, reps, q, &mut tally),
+        };
+        tally.flush();
+        nn
     }
 
     /// Classifies the points `offset..offset + out.len()` of `ds` into
@@ -123,8 +150,13 @@ impl NearestRep {
 
 /// One index query; the set is non-empty by construction.
 #[inline]
-fn nearest_of(index: &impl SpatialIndex, reps: &Dataset, q: &[f64], tally: &mut NnTally) -> usize {
-    index.nearest_tallied(reps, q, tally).expect("reps non-empty").id
+fn neighbor_of(
+    index: &impl SpatialIndex,
+    reps: &Dataset,
+    q: &[f64],
+    tally: &mut NnTally,
+) -> Neighbor {
+    index.nearest_tallied(reps, q, tally).expect("reps non-empty")
 }
 
 /// The per-point classification loop of the index routes.
@@ -141,7 +173,7 @@ fn classify_each(
         ticker.tick()?;
         // Lossless: `Dataset` caps its length at `Dataset::MAX_POINTS`
         // (u32 ids), enforced at ingest.
-        *slot = id_u32(nearest_of(index, reps, ds.point(offset + i), tally));
+        *slot = id_u32(neighbor_of(index, reps, ds.point(offset + i), tally).id);
     }
     Ok(())
 }
@@ -216,6 +248,8 @@ mod tests {
             for q in ds.iter() {
                 let [a, b] = routes.each_ref().map(|r| r.nearest_tallied(&big, q, &mut tally));
                 assert_eq!(a, b, "dim {dim}");
+                let [a, b] = routes.each_ref().map(|r| r.nearest(&big, q));
+                assert_eq!((a.id, a.dist.to_bits()), (b.id, b.dist.to_bits()), "dim {dim}");
             }
         }
     }

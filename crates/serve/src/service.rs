@@ -14,9 +14,9 @@ use data_bubbles::{try_bubble_dendrogram, DEFAULT_MAX_MATRIX_K};
 use db_birch::Cf;
 use db_hierarchical::Linkage;
 use db_optics::OpticsParams;
-use db_sampling::IncrementalCompression;
-use db_spatial::{auto_index, AnyIndex, Dataset, SpatialError, SpatialIndex};
-use db_supervise::{CancelToken, RunBudget};
+use db_sampling::{IncrementalCompression, NearestRep};
+use db_spatial::{Dataset, SpatialError};
+use db_supervise::{fault, CancelToken, RunBudget};
 
 /// Locks a mutex, recovering from poisoning: every protected value here
 /// is either replaced whole (the cache `Arc`) or validated before use, so
@@ -105,7 +105,9 @@ pub struct Artifact {
     /// When this artifact was installed.
     pub built_at: Instant,
     reps: Dataset,
-    index: AnyIndex,
+    /// The live compression's nearest-representative state, shared: the
+    /// representatives are fixed for the service's life.
+    nearest: Arc<NearestRep>,
 }
 
 impl Artifact {
@@ -129,10 +131,7 @@ impl Artifact {
         if let Some(coord) = point.iter().position(|x| !x.is_finite()) {
             return Err(SpatialError::NonFiniteCoordinate { point: 0, coord });
         }
-        let nn = self
-            .index
-            .nearest(&self.reps, point)
-            .ok_or(SpatialError::DimensionMismatch { expected: self.reps.dim(), got: 0 })?;
+        let nn = self.nearest.nearest(&self.reps, point);
         Ok(LabelAnswer {
             label: self.rep_labels[nn.id],
             representative: nn.id,
@@ -196,9 +195,11 @@ pub struct ServiceStats {
 
 /// What a recluster reads of the live compression: the representatives,
 /// their statistics and the counts — O(k) to copy, whatever the number of
-/// objects absorbed (the per-object assignment stays behind).
+/// objects absorbed (the per-object assignment stays behind) — and a
+/// share of its nearest-representative state for the artifact's labels.
 struct Snapshot {
     reps: Dataset,
+    nearest: Arc<NearestRep>,
     stats: Vec<Cf>,
     n_objects: usize,
     total_mass: u64,
@@ -208,6 +209,7 @@ impl Snapshot {
     fn of(live: &IncrementalCompression) -> Self {
         Snapshot {
             reps: live.representatives().clone(),
+            nearest: Arc::clone(live.nearest_rep()),
             stats: live.stats().to_vec(),
             n_objects: live.n_objects(),
             total_mass: live.total_mass(),
@@ -245,7 +247,6 @@ fn build_artifact(
     let (output, space) = recluster_bubbles_supervised(&snapshot.reps, &snapshot.stats, &pcfg)?;
     let rep_labels = try_bubble_dendrogram(&space, Linkage::Single)?.cut_at_distance(cfg.label_cut);
     drop(space);
-    let index = auto_index(&snapshot.reps, None);
     Ok(Artifact {
         generation: 0,
         output,
@@ -254,7 +255,7 @@ fn build_artifact(
         total_mass: snapshot.total_mass,
         built_at: Instant::now(),
         reps: snapshot.reps,
-        index,
+        nearest: snapshot.nearest,
     })
 }
 
@@ -267,8 +268,8 @@ struct ReclusterSlot {
     next_generation: u64,
     /// Cancel token of the in-flight recluster, if any.
     cancel: Option<CancelToken>,
-    /// Handle of the most recently started worker.
-    worker: Option<JoinHandle<()>>,
+    /// Generation and handle of the most recently started worker.
+    worker: Option<(u64, JoinHandle<()>)>,
 }
 
 #[derive(Debug)]
@@ -377,11 +378,8 @@ impl BubbleService {
             let live = lock(&self.shared.live);
             (live.n_objects(), live.total_mass(), live.k())
         };
+        let in_flight = self.in_flight(&lock(&self.shared.recluster));
         let art = self.artifact();
-        let in_flight = {
-            let slot = lock(&self.shared.recluster);
-            slot.worker.as_ref().is_some_and(|w| !w.is_finished())
-        };
         publish_staleness(&art, n_objects);
         ServiceStats {
             k,
@@ -411,8 +409,7 @@ impl BubbleService {
     /// never completes under sustained load.
     fn spawn_recluster(&self, forced: bool) -> Option<u64> {
         let mut slot = lock(&self.shared.recluster);
-        let in_flight = slot.worker.as_ref().is_some_and(|w| !w.is_finished());
-        if in_flight {
+        if self.in_flight(&slot) {
             if !forced {
                 return None;
             }
@@ -434,9 +431,20 @@ impl BubbleService {
         // The previous worker (if any) was cancelled above and exits at
         // its next cooperative check; it only touches Arcs, so detaching
         // its handle is safe.
-        slot.worker = Some(worker);
+        slot.worker = Some((generation, worker));
         db_obs::counter!("serve.recluster.started").incr();
         Some(generation)
+    }
+
+    /// Whether the most recently started recluster is in flight: its
+    /// worker is alive **and** its generation is not installed yet. A
+    /// worker that installed its artifact and is only returning is done,
+    /// so a staleness trigger in that window starts the next recluster.
+    /// `slot` is the held recluster lock; the cache lock nests inside it.
+    fn in_flight(&self, slot: &ReclusterSlot) -> bool {
+        slot.worker.as_ref().is_some_and(|(generation, worker)| {
+            !worker.is_finished() && self.artifact().generation < *generation
+        })
     }
 
     /// Blocks until the cached artifact reaches `min_generation` or
@@ -464,7 +472,7 @@ impl BubbleService {
             }
             slot.worker.take()
         };
-        if let Some(w) = worker {
+        if let Some((_, w)) = worker {
             let _ = w.join();
         }
     }
@@ -479,7 +487,7 @@ impl Drop for BubbleService {
 fn recluster_worker(shared: &Arc<Shared>, snapshot: Snapshot, generation: u64, token: CancelToken) {
     let _span = db_obs::span!("serve.recluster");
     let started = Instant::now();
-    match build_artifact(snapshot, &shared.cfg, Some(token)) {
+    match build_artifact(snapshot, &shared.cfg, Some(token.clone())) {
         Ok(mut artifact) => {
             artifact.generation = generation;
             db_obs::histogram!("serve.recluster.latency_ms", [1.0, 10.0, 100.0, 1000.0, 10000.0])
@@ -489,8 +497,12 @@ fn recluster_worker(shared: &Arc<Shared>, snapshot: Snapshot, generation: u64, t
             if cache.generation < generation {
                 *cache = Arc::new(artifact);
                 publish_staleness(&cache, n_objects);
+                drop(cache);
                 db_obs::counter!("serve.recluster.completed").incr();
                 db_obs::trace_instant!("serve.recluster.installed", "generation", generation);
+                // Installed, still returning: the window a staleness
+                // trigger must not mistake for a recluster in flight.
+                fault::inject("recluster.installed", &token);
             } else {
                 // A forced newer run finished first; its artifact is
                 // fresher than ours.

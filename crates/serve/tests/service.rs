@@ -1,6 +1,7 @@
 //! End-to-end tests of the streaming service: ingest determinism across
 //! batch splits, query liveness during reclusters, typed cancellation of
-//! superseded reclusters, and the HTTP validation boundary.
+//! superseded reclusters, the in-flight rule of staleness triggers, the
+//! bits of label answers, and the HTTP validation boundary.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,7 +11,7 @@ use std::time::{Duration, Instant};
 use db_optics::OpticsParams;
 use db_sampling::{compress_by_sampling, IncrementalCompression};
 use db_serve::{BubbleService, ServeServer, ServiceConfig};
-use db_spatial::Dataset;
+use db_spatial::{Dataset, LinearScan, SpatialIndex};
 use db_supervise::fault;
 
 /// The fault spec, the health registry and the staleness gauges are
@@ -177,6 +178,73 @@ fn staleness_triggers_start_a_background_recluster() {
     let art = svc.artifact();
     assert_eq!(art.n_objects, svc.compression().n_objects());
     svc.shutdown();
+}
+
+/// A staleness trigger that arrives after a recluster installed its
+/// artifact, while its worker thread is still returning, starts the next
+/// recluster: a recluster is in flight only until its generation is
+/// installed. The `recluster.installed` fault point holds the worker in
+/// that window.
+#[test]
+fn a_trigger_right_after_an_install_starts_the_next_recluster() {
+    let _g = global_guard();
+    let base = blobs(400, 3);
+    let compressed = compress_by_sampling(&base, 24, 3).expect("compress");
+    let live = IncrementalCompression::from_sample(&compressed);
+    let mut cfg = ServiceConfig::new(OpticsParams { eps: f64::INFINITY, min_pts: 20 }, 4.0);
+    cfg.max_absorbed = 50;
+    let svc = BubbleService::new(live, cfg).expect("service");
+
+    fault::set_spec(Some("recluster.installed:delay:1500"));
+    let first = svc.force_recluster();
+    assert!(svc.wait_for_generation(first, Duration::from_secs(20)));
+    // The worker now sleeps right after its install.
+    let in_flight = svc.stats().recluster_in_flight;
+    let receipt = svc.ingest(&blobs(60, 5)).expect("ingest");
+    fault::set_spec(None);
+    assert!(!in_flight, "an installed recluster is not in flight");
+    assert!(receipt.stale, "60 absorbed ≥ trigger of 50");
+    let next = receipt.recluster_started.expect("the trigger starts the next recluster");
+    assert!(next > first);
+    assert!(svc.wait_for_generation(next, Duration::from_secs(20)));
+    svc.shutdown();
+}
+
+/// `label_of` answers bit for bit as a linear scan over the
+/// representatives: the nearest representative (ties to the lower id),
+/// its label under the cut, and its distance, the square root of the
+/// canonical squared distance. The cases cover every nearest-representative
+/// route: the kernel (2-d, k = 24), the cell table (2-d, k = 300) and the
+/// tree (d = 9, k = 200). Queries are data points, the representatives
+/// themselves (distance 0) and points far outside the data.
+#[test]
+fn label_answers_equal_a_linear_scan_bit_for_bit() {
+    let _g = global_guard();
+    for (dim, k) in [(2usize, 24usize), (2, 300), (9, 200)] {
+        let params = db_datagen::GaussianFamilyParams { n: 3_000, dim, ..Default::default() };
+        let data = db_datagen::gaussian_family(&params, 11).data;
+        let compressed = compress_by_sampling(&data, k, 11).expect("compress");
+        let cfg = ServiceConfig::new(OpticsParams { eps: f64::INFINITY, min_pts: 20 }, 10.0);
+        let live = IncrementalCompression::from_sample(&compressed);
+        let svc = BubbleService::new(live, cfg).expect("service");
+        let art = svc.artifact();
+        let reps = art.representatives();
+        let linear = LinearScan::build(reps);
+        let far: Vec<Vec<f64>> =
+            data.iter().step_by(500).map(|p| p.iter().map(|x| x * 40.0 - 1e3).collect()).collect();
+        let queries =
+            data.iter().step_by(3).chain(reps.iter()).chain(far.iter().map(Vec::as_slice));
+        for (i, q) in queries.enumerate() {
+            let got = art.label_of(q).expect("label");
+            let want = linear.nearest(reps, q).expect("reps non-empty");
+            assert_eq!(
+                (got.representative, got.distance.to_bits(), got.label, got.generation),
+                (want.id, want.dist.to_bits(), art.rep_labels[want.id], 0),
+                "d={dim} k={k} query {i}"
+            );
+        }
+        svc.shutdown();
+    }
 }
 
 #[test]

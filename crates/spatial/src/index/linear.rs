@@ -1,5 +1,5 @@
 //! Exhaustive-scan index: the always-correct O(n) baseline against which the
-//! tree and grid indexes are property-tested.
+//! kd-tree and the cell table are property-tested.
 
 use crate::dataset::Dataset;
 use crate::index::{sort_neighbors, Neighbor, NnTally, SpatialIndex};

@@ -1,5 +1,12 @@
 //! Spatial indexes answering ε-range and k-NN queries over a [`Dataset`].
 //!
+//! Coordinate data has one index, the [`kdtree::KdTree`]: it answers the
+//! ε-range queries of OPTICS and DBSCAN over raw points and the k-NN and
+//! 1-NN queries of the parameter heuristics and classification.
+//! [`cells::CellTable`] answers 2-d 1-NN queries against a fixed point set
+//! in front of its own kd-tree, and [`linear::LinearScan`] is the
+//! exhaustive reference both are tested against.
+//!
 //! Indexes store only point *indices*; the dataset is passed by reference at
 //! query time. All implementations return exactly the same result sets (ties
 //! in k-NN are broken by lower point id), which the test-suite checks by
@@ -9,9 +16,7 @@ use crate::dataset::Dataset;
 use crate::kernels;
 use crate::order::DistId;
 
-pub mod balltree;
 pub mod cells;
-pub mod grid;
 pub mod kdtree;
 pub mod linear;
 
@@ -84,8 +89,8 @@ impl NnTally {
 const SCAN_ROWS: usize = 16;
 
 /// Lowers `best` to the `(d², id)` minimum over itself and the points
-/// `ids` of the row-major `flat` buffer — the leaf scan of the trees' 1-NN
-/// queries. Squared distances come from [`kernels::dists_to_indexed`], so
+/// `ids` of the row-major `flat` buffer — the leaf scan of the kd-tree's
+/// 1-NN queries. Squared distances come from [`kernels::dists_to_indexed`], so
 /// they are the bits `knn` sees.
 #[inline]
 pub(crate) fn scan_nearest(q: &[f64], flat: &[f64], dim: usize, ids: &[u32], best: &mut DistId) {
@@ -103,12 +108,12 @@ pub(crate) fn scan_nearest(q: &[f64], flat: &[f64], dim: usize, ids: &[u32], bes
 }
 
 /// Deepest tree a 1-NN descent supports: the capacity of [`DfsStack`].
-/// Both trees split at the median, so a tree over at most `u32::MAX`
-/// points is at most 32 splits deep; each build asserts its depth
-/// against this bound.
+/// The kd-tree splits at the median, so a tree over at most `u32::MAX`
+/// points is at most 32 splits deep; the build asserts its depth against
+/// this bound.
 pub(crate) const MAX_TREE_DEPTH: usize = 32;
 
-/// Fixed-capacity stack of `(node, lower bound)` pairs for the trees'
+/// Fixed-capacity stack of `(node, lower bound)` pairs for the kd-tree's
 /// depth-first 1-NN descent. A nearest-child-first descent leaves at most
 /// one far sibling per level on the stack, so [`MAX_TREE_DEPTH`] entries
 /// suffice and no query allocates.
@@ -183,89 +188,6 @@ pub trait SpatialIndex {
     }
 }
 
-/// A runtime-selected index, so pipeline code can hold "some index" without
-/// generics leaking everywhere.
-#[derive(Debug, Clone)]
-pub enum AnyIndex {
-    /// Exhaustive scan.
-    Linear(linear::LinearScan),
-    /// KD-tree.
-    KdTree(kdtree::KdTree),
-    /// Ball tree.
-    BallTree(balltree::BallTree),
-    /// Uniform grid.
-    Grid(grid::GridIndex),
-}
-
-impl SpatialIndex for AnyIndex {
-    fn len(&self) -> usize {
-        match self {
-            AnyIndex::Linear(i) => i.len(),
-            AnyIndex::KdTree(i) => i.len(),
-            AnyIndex::BallTree(i) => i.len(),
-            AnyIndex::Grid(i) => i.len(),
-        }
-    }
-
-    fn range(&self, ds: &Dataset, q: &[f64], eps: f64, out: &mut Vec<Neighbor>) {
-        match self {
-            AnyIndex::Linear(i) => i.range(ds, q, eps, out),
-            AnyIndex::KdTree(i) => i.range(ds, q, eps, out),
-            AnyIndex::BallTree(i) => i.range(ds, q, eps, out),
-            AnyIndex::Grid(i) => i.range(ds, q, eps, out),
-        }
-    }
-
-    fn knn(&self, ds: &Dataset, q: &[f64], k: usize, out: &mut Vec<Neighbor>) {
-        match self {
-            AnyIndex::Linear(i) => i.knn(ds, q, k, out),
-            AnyIndex::KdTree(i) => i.knn(ds, q, k, out),
-            AnyIndex::BallTree(i) => i.knn(ds, q, k, out),
-            AnyIndex::Grid(i) => i.knn(ds, q, k, out),
-        }
-    }
-
-    fn nearest_tallied(&self, ds: &Dataset, q: &[f64], tally: &mut NnTally) -> Option<Neighbor> {
-        match self {
-            AnyIndex::Linear(i) => i.nearest_tallied(ds, q, tally),
-            AnyIndex::KdTree(i) => i.nearest_tallied(ds, q, tally),
-            AnyIndex::BallTree(i) => i.nearest_tallied(ds, q, tally),
-            AnyIndex::Grid(i) => i.nearest_tallied(ds, q, tally),
-        }
-    }
-}
-
-/// Picks a sensible index for `ds`:
-///
-/// * tiny datasets (< 64 points) → [`linear::LinearScan`],
-/// * low dimensionality (≤ 4) with a usable ε hint → [`grid::GridIndex`]
-///   with cell width `eps_hint`,
-/// * moderate dimensionality (≤ 8) → [`kdtree::KdTree`],
-/// * otherwise → [`balltree::BallTree`] (spheres prune better than slabs
-///   in higher dimensions).
-///
-/// `eps_hint` should be the ε used for subsequent range queries (OPTICS'
-/// generating distance); pass `None` when unknown.
-pub fn auto_index(ds: &Dataset, eps_hint: Option<f64>) -> AnyIndex {
-    if ds.len() < 64 {
-        return AnyIndex::Linear(linear::LinearScan::build(ds));
-    }
-    if ds.dim() <= 4 {
-        if let Some(eps) = eps_hint {
-            if eps.is_finite() && eps > 0.0 {
-                if let Some(g) = grid::GridIndex::build(ds, eps) {
-                    return AnyIndex::Grid(g);
-                }
-            }
-        }
-    }
-    if ds.dim() <= 8 {
-        AnyIndex::KdTree(kdtree::KdTree::build(ds))
-    } else {
-        AnyIndex::BallTree(balltree::BallTree::build(ds))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,51 +214,41 @@ mod tests {
         assert_eq!(v.iter().map(|n| n.id).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
+    /// The kd-tree answers like the linear scan on a five-point set and
+    /// on 2-d, 6-d and 9-d sets.
     #[test]
-    fn auto_index_picks_linear_for_tiny() {
+    fn kdtree_answers_every_shape_like_the_linear_scan() {
+        // 200 points on an integer lattice, with many ties.
+        let lattice = |dim: usize| {
+            let mut d = Dataset::new(dim).unwrap();
+            for i in 0..200 {
+                let row: Vec<f64> = (0..dim).map(|j| ((i * (3 + j)) % 17) as f64).collect();
+                d.push(&row).unwrap();
+            }
+            d
+        };
+        for d in [ds(), lattice(2), lattice(6), lattice(9)] {
+            let (tree, linear) = (kdtree::KdTree::build(&d), linear::LinearScan::build(&d));
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for q in d.iter().step_by(7) {
+                let what = format!("d={} n={}", d.dim(), d.len());
+                tree.range(&d, q, 4.0, &mut a);
+                linear.range(&d, q, 4.0, &mut b);
+                assert_eq!(a, b, "{what} range");
+                tree.knn(&d, q, 5, &mut a);
+                linear.knn(&d, q, 5, &mut b);
+                assert_eq!(a, b, "{what} knn");
+                assert_eq!(tree.nearest(&d, q), linear.nearest(&d, q), "{what} nearest");
+            }
+        }
+    }
+
+    #[test]
+    fn kdtree_and_linear_scan_answer_the_basic_queries() {
         let d = ds();
-        assert!(matches!(auto_index(&d, Some(1.0)), AnyIndex::Linear(_)));
-    }
-
-    #[test]
-    fn auto_index_picks_grid_for_low_dim_with_hint() {
-        let mut d = Dataset::new(2).unwrap();
-        for i in 0..200 {
-            d.push(&[i as f64, (i % 7) as f64]).unwrap();
-        }
-        assert!(matches!(auto_index(&d, Some(1.0)), AnyIndex::Grid(_)));
-        assert!(matches!(auto_index(&d, None), AnyIndex::KdTree(_)));
-        assert!(matches!(auto_index(&d, Some(f64::INFINITY)), AnyIndex::KdTree(_)));
-    }
-
-    #[test]
-    fn auto_index_picks_kdtree_for_moderate_dim() {
-        let mut d = Dataset::new(6).unwrap();
-        for i in 0..200 {
-            d.push(&[i as f64; 6]).unwrap();
-        }
-        assert!(matches!(auto_index(&d, Some(1.0)), AnyIndex::KdTree(_)));
-    }
-
-    #[test]
-    fn auto_index_picks_balltree_for_high_dim() {
-        let mut d = Dataset::new(9).unwrap();
-        for i in 0..200 {
-            d.push(&[i as f64; 9]).unwrap();
-        }
-        assert!(matches!(auto_index(&d, None), AnyIndex::BallTree(_)));
-    }
-
-    #[test]
-    fn any_index_dispatches_all_variants() {
-        let d = ds();
-        let variants: Vec<AnyIndex> = vec![
-            AnyIndex::Linear(linear::LinearScan::build(&d)),
-            AnyIndex::KdTree(kdtree::KdTree::build(&d)),
-            AnyIndex::BallTree(balltree::BallTree::build(&d)),
-            AnyIndex::Grid(grid::GridIndex::build(&d, 1.5).unwrap()),
-        ];
-        for idx in &variants {
+        let tree = kdtree::KdTree::build(&d);
+        let linear = linear::LinearScan::build(&d);
+        for idx in [&tree as &dyn SpatialIndex, &linear] {
             assert_eq!(idx.len(), 5);
             assert!(!idx.is_empty());
             let mut out = Vec::new();

@@ -10,14 +10,16 @@
 //! * [`kernels`] — batched, cache-blocked squared-distance kernels with a
 //!   fixed lane-reduction order; the canonical distance arithmetic every
 //!   index, classifier and oracle sweep shares (see DESIGN.md §13).
-//! * [`SpatialIndex`] — ε-range, k-NN and 1-NN queries. Three
-//!   implementations with identical semantics: [`LinearScan`] (the always
-//!   correct baseline), [`KdTree`] (good for moderate dimensions) and
-//!   [`GridIndex`] (fastest for low-dimensional, density-based workloads —
-//!   the "index-based access structure" OPTICS assumes).
+//! * [`SpatialIndex`] — ε-range, k-NN and 1-NN queries. Two
+//!   implementations with identical semantics: [`KdTree`], the one index
+//!   of coordinate data (the "index-based access structure" OPTICS
+//!   assumes), and [`LinearScan`], the always correct baseline it is
+//!   tested against.
 //! * [`CellTable`] — exact 1-NN queries against a fixed set of 2-d points
 //!   from a precomputed candidate list per grid cell, in front of a
 //!   [`KdTree`]; the nearest-representative query of classification.
+//! * [`VpTree`] — range and k-NN queries under an arbitrary metric given
+//!   as a distance closure, for data with no coordinates.
 //!
 //! # Example
 //!
@@ -49,12 +51,10 @@ pub mod index;
 pub use dataset::Dataset;
 pub use error::SpatialError;
 pub use id::{checked_id, id_u32};
-pub use index::balltree::BallTree;
 pub use index::cells::CellTable;
-pub use index::grid::GridIndex;
 pub use index::kdtree::KdTree;
 pub use index::linear::LinearScan;
-pub use index::{auto_index, AnyIndex, Neighbor, NnTally, SpatialIndex};
+pub use index::{Neighbor, NnTally, SpatialIndex};
 pub use io::{read_csv, read_csv_from, write_csv, write_csv_to, CsvError, CsvOptions};
 pub use kernels::{dist_tile, dists_to_block, dists_to_indexed, nn_block};
 pub use metric::{Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};

@@ -1,12 +1,12 @@
 //! The shared total-order helper for `(distance, id)` pairs.
 //!
-//! Three hot paths — the OPTICS seed list, the kd-tree k-NN frontier,
-//! and the ball-tree k-NN frontier — each used to carry a private
-//! `struct Seed(f64, usize)` / `struct Cand(f64, usize)` with a
-//! hand-rolled `Ord`. Three copies of the same subtle code is three
-//! places for the NaN-total-ordering convention (PR 2) to silently
-//! regress, so the ordering lives here once, and the `total-cmp` audit
-//! rule bans `partial_cmp` everywhere else.
+//! The hot paths — the OPTICS seed list and the kd-tree k-NN frontier —
+//! each used to carry a private `struct Seed(f64, usize)` /
+//! `struct Cand(f64, usize)` with a hand-rolled `Ord`. Every copy of the
+//! same subtle code is one more place for the NaN-total-ordering
+//! convention (PR 2) to silently regress, so the ordering lives here
+//! once, and the `total-cmp` audit rule bans `partial_cmp` everywhere
+//! else.
 //!
 //! The order is `f64::total_cmp` on the distance, then `usize` id as the
 //! tie-breaker — the exact ordering every consumer already relied on:

@@ -1,15 +1,12 @@
-//! Randomized equivalence tests: KD-tree, ball tree and grid index return
-//! exactly the results of the exhaustive linear scan, across many seeded
-//! random datasets, queries, radii and k — every index's 1-NN query
+//! Randomized equivalence tests: the kd-tree returns exactly the results
+//! of the exhaustive linear scan, across many seeded random datasets of
+//! 1 to 16 dimensions, queries, radii and k — every index's 1-NN query
 //! (`nearest_tallied`) returns exactly its own `knn(q, 1)` — and the 2-d
 //! cell table's 1-NN query returns exactly the linear scan's.
 
 use db_datagen::{ds1, Ds1Params};
 use db_rng::Rng;
-use db_spatial::{
-    AnyIndex, BallTree, CellTable, Dataset, GridIndex, KdTree, LinearScan, Neighbor, NnTally,
-    SpatialIndex,
-};
+use db_spatial::{CellTable, Dataset, KdTree, LinearScan, Neighbor, NnTally, SpatialIndex};
 
 const CASES: u64 = 64;
 
@@ -66,70 +63,72 @@ fn kdtree_knn_equals_linear() {
     }
 }
 
+/// The kd-tree's range answers equal the linear scan's in id and
+/// distance bits at d = 2, 5, 9 and 16.
 #[test]
-fn balltree_range_equals_linear() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(200 + seed);
-        let ds = random_dataset(&mut rng, 120, 5);
-        let q = random_query(&mut rng, 5);
-        let eps = rng.gen_f64(0.0, 40.0);
-        let tree = BallTree::build(&ds);
-        let lin = LinearScan::build(&ds);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        tree.range(&ds, &q, eps, &mut a);
-        lin.range(&ds, &q, eps, &mut b);
-        assert_eq!(ids(&a), ids(&b), "seed {seed}");
+fn kdtree_range_equals_linear_up_to_d16() {
+    // Radii up to about the median pair distance of each dimensionality.
+    for (dim, base, max_eps) in
+        [(5usize, 200u64, 40.0), (2, 400, 40.0), (9, 2200, 120.0), (16, 2400, 160.0)]
+    {
+        for seed in 0..CASES {
+            let mut rng = Rng::seed_from_u64(base + seed);
+            let ds = random_dataset(&mut rng, 120, dim);
+            let q = random_query(&mut rng, dim);
+            let eps = rng.gen_f64(0.0, max_eps);
+            let tree = KdTree::build(&ds);
+            let lin = LinearScan::build(&ds);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            tree.range(&ds, &q, eps, &mut a);
+            lin.range(&ds, &q, eps, &mut b);
+            assert_eq!(a, b, "d={dim} seed {seed}");
+        }
     }
 }
 
+/// The kd-tree's k-NN answers equal the linear scan's in id and distance
+/// bits at d = 4, 9 and 16.
 #[test]
-fn balltree_knn_equals_linear() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(300 + seed);
-        let ds = random_dataset(&mut rng, 120, 4);
-        let q = random_query(&mut rng, 4);
-        let k = rng.gen_range(1..20);
-        let tree = BallTree::build(&ds);
-        let lin = LinearScan::build(&ds);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        tree.knn(&ds, &q, k, &mut a);
-        lin.knn(&ds, &q, k, &mut b);
-        assert_eq!(ids(&a), ids(&b), "seed {seed}");
+fn kdtree_knn_equals_linear_up_to_d16() {
+    for (dim, base) in [(4usize, 300u64), (9, 2300), (16, 2500)] {
+        for seed in 0..CASES {
+            let mut rng = Rng::seed_from_u64(base + seed);
+            let ds = random_dataset(&mut rng, 120, dim);
+            let q = random_query(&mut rng, dim);
+            let k = rng.gen_range(1..20);
+            let tree = KdTree::build(&ds);
+            let lin = LinearScan::build(&ds);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            tree.knn(&ds, &q, k, &mut a);
+            lin.knn(&ds, &q, k, &mut b);
+            assert_eq!(a, b, "d={dim} seed {seed}");
+        }
     }
 }
 
+/// The cell table's range and k-NN queries (answered by its kd-tree)
+/// equal the linear scan's on random 2-d sets, wherever the table builds.
 #[test]
-fn grid_range_equals_linear() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(400 + seed);
-        let ds = random_dataset(&mut rng, 120, 2);
-        let q = random_query(&mut rng, 2);
-        let eps = rng.gen_f64(0.0, 40.0);
-        let cell = rng.gen_f64(0.3, 10.0);
-        let grid = GridIndex::build(&ds, cell).unwrap();
-        let lin = LinearScan::build(&ds);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        grid.range(&ds, &q, eps, &mut a);
-        lin.range(&ds, &q, eps, &mut b);
-        assert_eq!(ids(&a), ids(&b), "seed {seed}");
-    }
-}
-
-#[test]
-fn grid_knn_equals_linear() {
+fn cell_table_range_and_knn_equal_linear() {
+    let mut built = 0;
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(500 + seed);
         let ds = random_dataset(&mut rng, 120, 2);
         let q = random_query(&mut rng, 2);
         let k = rng.gen_range(1..20);
-        let cell = rng.gen_f64(0.3, 10.0);
-        let grid = GridIndex::build(&ds, cell).unwrap();
+        let eps = rng.gen_f64(0.0, 40.0);
+        let Some(table) = CellTable::build(&ds) else { continue };
+        built += 1;
         let lin = LinearScan::build(&ds);
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        grid.knn(&ds, &q, k, &mut a);
+        table.knn(&ds, &q, k, &mut a);
         lin.knn(&ds, &q, k, &mut b);
-        assert_eq!(ids(&a), ids(&b), "seed {seed}");
+        assert_eq!(a, b, "seed {seed} knn");
+        table.range(&ds, &q, eps, &mut a);
+        lin.range(&ds, &q, eps, &mut b);
+        assert_eq!(a, b, "seed {seed} range");
     }
+    assert!(built * 10 > CASES * 9, "the table built for {built} of {CASES} sets");
 }
 
 #[test]
@@ -154,21 +153,20 @@ fn range_distances_are_correct() {
     }
 }
 
-/// The four index types over `ds`; the grid only where it applies
-/// (d ≤ `MAX_GRID_DIM`).
-fn every_index(ds: &Dataset, cell: f64) -> Vec<AnyIndex> {
-    let mut all = vec![
-        AnyIndex::Linear(LinearScan::build(ds)),
-        AnyIndex::KdTree(KdTree::build(ds)),
-        AnyIndex::BallTree(BallTree::build(ds)),
-    ];
-    all.extend(GridIndex::build(ds, cell).map(AnyIndex::Grid));
+/// The index types over `ds`: the linear scan, the kd-tree and, where it
+/// builds (2-d, not collinear), the cell table.
+fn every_index(ds: &Dataset) -> Vec<Box<dyn SpatialIndex>> {
+    let mut all: Vec<Box<dyn SpatialIndex>> =
+        vec![Box::new(LinearScan::build(ds)), Box::new(KdTree::build(ds))];
+    if let Some(table) = CellTable::build(ds) {
+        all.push(Box::new(table));
+    }
     all
 }
 
 /// `nearest_tallied(q)` is `knn(q, 1)[0]`: same id, same distance bits,
 /// one tallied query (none on an empty index).
-fn assert_nearest_is_knn1(idx: &AnyIndex, ds: &Dataset, q: &[f64], what: &str) {
+fn assert_nearest_is_knn1(idx: &dyn SpatialIndex, ds: &Dataset, q: &[f64], what: &str) {
     let mut tally = NnTally::default();
     let got = idx.nearest_tallied(ds, q, &mut tally);
     let mut out = Vec::new();
@@ -189,7 +187,7 @@ fn nearest_tallied_equals_knn1_on_every_index() {
             for _ in 0..n {
                 ds.push(&random_query(&mut rng, dim)).unwrap();
             }
-            for (v, idx) in every_index(&ds, rng.gen_f64(0.5, 20.0)).iter().enumerate() {
+            for (v, idx) in every_index(&ds).iter().enumerate() {
                 for i in 0..40 {
                     // Half the queries are data points (distance 0).
                     let q = if n > 0 && i % 2 == 0 {
@@ -197,7 +195,8 @@ fn nearest_tallied_equals_knn1_on_every_index() {
                     } else {
                         random_query(&mut rng, dim)
                     };
-                    assert_nearest_is_knn1(idx, &ds, &q, &format!("d={dim} n={n} index {v} q {i}"));
+                    let what = format!("d={dim} n={n} index {v} q {i}");
+                    assert_nearest_is_knn1(idx.as_ref(), &ds, &q, &what);
                 }
             }
         }
@@ -207,17 +206,17 @@ fn nearest_tallied_equals_knn1_on_every_index() {
 #[test]
 fn nearest_tallied_scans_a_leaf_of_identical_points() {
     // 200 copies of one point (more than a leaf's kernel batch) form one
-    // leaf in both trees and one grid cell; id 0 must win every query.
+    // kd-tree leaf; id 0 must win every query.
     for dim in [1usize, 2, 9] {
         let mut ds = Dataset::new(dim).unwrap();
         for _ in 0..200 {
             ds.push(&vec![1.5; dim]).unwrap();
         }
         let mut rng = Rng::seed_from_u64(800 + dim as u64);
-        for (v, idx) in every_index(&ds, 1.0).iter().enumerate() {
+        for (v, idx) in every_index(&ds).iter().enumerate() {
             for i in 0..10 {
                 let q = random_query(&mut rng, dim);
-                assert_nearest_is_knn1(idx, &ds, &q, &format!("d={dim} index {v} q {i}"));
+                assert_nearest_is_knn1(idx.as_ref(), &ds, &q, &format!("d={dim} index {v} q {i}"));
                 let mut tally = NnTally::default();
                 assert_eq!(idx.nearest_tallied(&ds, &q, &mut tally).map(|n| n.id), Some(0));
             }
@@ -243,12 +242,12 @@ fn nearest_tallied_breaks_distance_ties_by_lower_id() {
             }
         }
         let mut rng = Rng::seed_from_u64(900 + dim as u64);
-        for (v, idx) in every_index(&ds, 1.0).iter().enumerate() {
+        for (v, idx) in every_index(&ds).iter().enumerate() {
             for i in 0..30 {
                 let q: Vec<f64> =
                     (0..dim).map(|_| rng.gen_range(0..(side - 1) as usize) as f64 + 0.5).collect();
                 let what = format!("d={dim} index {v} q {i}");
-                assert_nearest_is_knn1(idx, &ds, &q, &what);
+                assert_nearest_is_knn1(idx.as_ref(), &ds, &q, &what);
                 let d2 = |id: usize| db_spatial::euclidean_sq(&q, ds.point(id));
                 let want =
                     (0..ds.len()).min_by(|&a, &b| d2(a).total_cmp(&d2(b)).then(a.cmp(&b))).unwrap();
@@ -266,7 +265,7 @@ fn nearest_tallied_breaks_distance_ties_by_lower_id() {
 
 #[test]
 fn nearest_tallied_descends_a_deep_tree() {
-    // n = 200k at d = 1 builds both trees 14 median splits deep
+    // n = 200k at d = 1 builds the kd-tree 14 median splits deep
     // (200k / 2^14 < 16 points per leaf): the deepest descent the fixed
     // stack holds in the suite.
     let mut rng = Rng::seed_from_u64(1000);
@@ -274,12 +273,10 @@ fn nearest_tallied_descends_a_deep_tree() {
     for _ in 0..200_000 {
         ds.push(&[rng.gen_f64(-1e3, 1e3)]).unwrap();
     }
-    let trees = [AnyIndex::KdTree(KdTree::build(&ds)), AnyIndex::BallTree(BallTree::build(&ds))];
+    let tree = KdTree::build(&ds);
     for i in 0..200 {
         let q = [rng.gen_f64(-1.1e3, 1.1e3)];
-        for (v, idx) in trees.iter().enumerate() {
-            assert_nearest_is_knn1(idx, &ds, &q, &format!("index {v} q {i}"));
-        }
+        assert_nearest_is_knn1(&tree, &ds, &q, &format!("q {i}"));
     }
 }
 

@@ -12,7 +12,9 @@
 //! boundaries (`compression`, `clustering`, `recovery`) on the run's own
 //! thread, and the worker entry points (`classify.worker`, `stats.worker`,
 //! `matrix.worker`) inside spawned worker threads, where an injected
-//! panic exercises the panic-capture path. With `DB_FAULT` unset the hook
+//! panic exercises the panic-capture path. The service's recluster worker
+//! has one more, `recluster.installed`, right after it installs its
+//! artifact. With `DB_FAULT` unset the hook
 //! is a read-lock acquisition on an empty spec — nanoseconds at phase
 //! granularity, and nothing at all inside item loops.
 //!

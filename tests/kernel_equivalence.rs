@@ -18,11 +18,11 @@
 //! (default 64; CI runs a high count), so local runs stay fast while CI
 //! hammers the seed space.
 
-use db_sampling::{nn_classify, nn_classify_parallel, NN_KERNEL_MAX_REPS};
+use db_sampling::{nn_classify, nn_classify_parallel, NearestRep, NN_KERNEL_MAX_REPS};
 use db_spatial::kernels::{
     dist_tile, dists_to_block, dists_to_indexed, nn_block, sq_dist, sq_dist_reference,
 };
-use db_spatial::{auto_index, Dataset, Metric, SpatialIndex, SquaredEuclidean};
+use db_spatial::{Dataset, KdTree, Metric, SpatialIndex, SquaredEuclidean};
 
 fn iters() -> u64 {
     std::env::var("KERNEL_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
@@ -276,20 +276,48 @@ fn blob_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
 #[test]
 fn classify_backends_agree_at_the_threshold_boundary() {
     // k <= NN_KERNEL_MAX_REPS routes through the batched kernel, k just
-    // above through the spatial index; both must agree with a direct
-    // per-point index query bit for bit (same squared distances, same
+    // above through the cell table (d = 2) or the kd-tree; both must agree
+    // with a direct per-point kd-tree query bit for bit (same squared distances, same
     // (dist, id) tie-break), so the routing threshold is unobservable.
     for dim in [2usize, 3, 8] {
         let ds = blob_dataset(1_500, dim, 0xB0B + dim as u64);
         for k in [NN_KERNEL_MAX_REPS, NN_KERNEL_MAX_REPS + 1] {
             let reps = ds.subset(&(0..k).map(|i| i * 4).collect::<Vec<_>>());
             let got = nn_classify(&ds, &reps);
-            let index = auto_index(&reps, None);
+            let index = KdTree::build(&reps);
             let want: Vec<u32> = ds
                 .iter()
                 .map(|p| index.nearest(&reps, p).expect("reps non-empty").id as u32)
                 .collect();
             assert_eq!(got, want, "dim={dim} k={k}");
+        }
+    }
+}
+
+#[test]
+fn tree_route_above_d8_equals_the_kernel_bit_for_bit() {
+    // Above the kernel bound, representatives off d = 2 take the kd-tree
+    // route of `NearestRep`. At d = 9, 16 and 20 its assignment, and the
+    // distance bits of its single queries, equal the dense kernel's over
+    // the same representatives.
+    for dim in [9usize, 16, 20] {
+        let ds = blob_dataset(2_000, dim, 0x7EE + dim as u64);
+        for k in [NN_KERNEL_MAX_REPS + 1, 600] {
+            let reps = ds.subset(&(0..k).map(|i| i * 3).collect::<Vec<_>>());
+            let route = NearestRep::new(&reps);
+            assert!(matches!(route, NearestRep::Tree(_)), "dim={dim} k={k}: the tree route");
+            let mut want = vec![0u32; ds.len()];
+            let mut d2 = vec![0.0f64; ds.len()];
+            nn_block(ds.as_flat(), reps.as_flat(), dim, &mut want, &mut d2);
+            assert_eq!(nn_classify(&ds, &reps), want, "dim={dim} k={k}");
+            for (i, p) in ds.iter().enumerate() {
+                let nn = route.nearest(&reps, p);
+                assert_eq!(
+                    (nn.id as u32, nn.dist.to_bits()),
+                    (want[i], d2[i].sqrt().to_bits()),
+                    "dim={dim} k={k} point {i}"
+                );
+            }
         }
     }
 }

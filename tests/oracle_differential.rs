@@ -24,8 +24,7 @@ use db_oracle::{
     exact_bubble, exact_dbscan, exact_knn, exact_optics, exact_range, exact_single_link_points,
 };
 use db_spatial::{
-    auto_index, euclidean, BallTree, Dataset, GridIndex, KdTree, LinearScan, Neighbor,
-    SpatialIndex, VpTree,
+    euclidean, CellTable, Dataset, KdTree, LinearScan, Neighbor, SpatialIndex, VpTree,
 };
 
 use data_bubbles::pipeline::{run_pipeline, Compressor, PipelineConfig, Recovery};
@@ -84,39 +83,33 @@ fn indexes_match_brute_force_exactly() {
     for (name, ds) in index_corpora() {
         let linear = LinearScan::build(&ds);
         let kd = KdTree::build(&ds);
-        let ball = BallTree::build(&ds);
-        let auto = auto_index(&ds, Some(1.0));
+        // The cell table where it builds (2-d, not collinear): its range
+        // and k-NN queries go to its own kd-tree, its 1-NN to its lists.
+        let table = CellTable::build(&ds);
+        let mut indexes: Vec<(&str, &dyn SpatialIndex)> =
+            vec![("linear", &linear), ("kdtree", &kd)];
+        if let Some(table) = &table {
+            indexes.push(("cells", table));
+        }
         let mut out = Vec::new();
         for q in query_points(&ds) {
             for eps in eps_values(&ds, &q) {
                 let expect = exact_range(&ds, &q, eps);
-                for (iname, index) in [
-                    ("linear", &linear as &dyn SpatialIndex),
-                    ("kdtree", &kd),
-                    ("balltree", &ball),
-                    ("auto", &auto),
-                ] {
+                for &(iname, index) in &indexes {
                     index.range(&ds, &q, eps, &mut out);
                     assert_eq!(out, expect, "{name}/{iname} range eps={eps}");
-                }
-                if eps.is_finite() && eps > 0.0 {
-                    if let Some(grid) = GridIndex::build(&ds, eps) {
-                        grid.range(&ds, &q, eps, &mut out);
-                        assert_eq!(out, expect, "{name}/grid range eps={eps}");
-                    }
                 }
             }
             for k in [1usize, 4, 17, ds.len(), ds.len() + 5] {
                 let expect = exact_knn(&ds, &q, k);
-                for (iname, index) in [
-                    ("linear", &linear as &dyn SpatialIndex),
-                    ("kdtree", &kd),
-                    ("balltree", &ball),
-                    ("auto", &auto),
-                ] {
+                for &(iname, index) in &indexes {
                     index.knn(&ds, &q, k, &mut out);
                     assert_eq!(out, expect, "{name}/{iname} knn k={k}");
                 }
+            }
+            let expect = exact_knn(&ds, &q, 1).first().copied();
+            for &(iname, index) in &indexes {
+                assert_eq!(index.nearest(&ds, &q), expect, "{name}/{iname} nearest");
             }
         }
     }
@@ -434,8 +427,8 @@ fn seeded_random_queries_match_brute_force() {
             }
             ds.push(&p).unwrap();
         }
-        let index = auto_index(&ds, Some(10.0));
         let kd = KdTree::build(&ds);
+        let table = CellTable::build(&ds);
         let mut out: Vec<Neighbor> = Vec::new();
         for _ in 0..4 {
             for x in p.iter_mut() {
@@ -443,14 +436,16 @@ fn seeded_random_queries_match_brute_force() {
             }
             let eps = rng.uniform_in(0.0, 80.0);
             let expect = exact_range(&ds, &p, eps);
-            index.range(&ds, &p, eps, &mut out);
-            assert_eq!(out, expect, "iter {it}: auto range");
             kd.range(&ds, &p, eps, &mut out);
             assert_eq!(out, expect, "iter {it}: kd range");
             let k = 1 + rng.below(n);
             let expect = exact_knn(&ds, &p, k);
-            index.knn(&ds, &p, k, &mut out);
-            assert_eq!(out, expect, "iter {it}: auto knn");
+            kd.knn(&ds, &p, k, &mut out);
+            assert_eq!(out, expect, "iter {it}: kd knn");
+            if let Some(table) = &table {
+                let expect = exact_knn(&ds, &p, 1).first().copied();
+                assert_eq!(table.nearest(&ds, &p), expect, "iter {it}: cell table nearest");
+            }
         }
     }
 }
