@@ -2,17 +2,17 @@
 //! back into an ordering over *all* original objects (paper §5 for the
 //! weighted variants, §8 step 5 for the bubble variants).
 
-use db_optics::ClusterOrdering;
+use db_optics::{ClusterOrdering, OrderingEntry};
 use db_spatial::id_u32;
 use db_supervise::{unsupervised, Stop, Supervisor, Ticker};
 
 use crate::distance::virtual_reachability;
 use crate::space::BubbleSpace;
 
-/// Cooperative-check cadence of the expansion loops. A weighted step is a
-/// cheap member copy; a bubble step may recompute an unbounded
-/// core-distance (O(k)); every 64 representatives keeps both well inside
-/// the 50ms reaction target.
+/// Cooperative-check cadence of the rule and expansion loops. A bubble
+/// rule may recompute an unbounded core-distance (O(k)); an expansion
+/// step copies one run of members; every 64 positions keeps both well
+/// inside the 50ms reaction target.
 const EXPAND_TICK: u32 = 64;
 
 /// One original object's position in the expanded cluster ordering.
@@ -89,7 +89,17 @@ impl ExpandedOrdering {
     }
 }
 
-/// §5 expansion (for `OPTICS-SA/CF weighted`): representative `s_j` at walk
+/// The recovery rule of one walk position: what its first member, and
+/// every other member, plots as reachability, and their core estimate.
+/// [`weighted_rules`] and [`bubble_rules`] make one per position.
+#[derive(Debug, Clone, Copy)]
+pub struct PositionRule {
+    first: f64,
+    filler: f64,
+    core: f64,
+}
+
+/// §5 rule (for `OPTICS-SA/CF weighted`): representative `s_j` at walk
 /// position `j` is replaced by its members; the first member keeps
 /// `s_j.reachDist`, every other member gets
 /// `min(s_j.reachDist, s_{j+1}.reachDist)` — "the reachability we need to
@@ -98,96 +108,36 @@ impl ExpandedOrdering {
 ///
 /// The core estimate of every member is the representative's
 /// core-distance.
-///
-/// # Panics
-///
-/// Panics if `members.len()` differs from the number of representatives.
-pub fn expand_weighted(ordering: &ClusterOrdering, members: &[Vec<usize>]) -> ExpandedOrdering {
-    unsupervised("weighted expansion", |sup| expand_weighted_supervised(ordering, members, sup))
-}
-
-/// [`expand_weighted`] under supervision: consults `sup` every
-/// `EXPAND_TICK` representatives. On `Err` the partial expansion is
-/// discarded; on `Ok` the result is bit-for-bit the unsupervised one.
-///
-/// # Errors
-///
-/// [`Stop`] when cancelled or past the deadline.
-///
-/// # Panics
-///
-/// Panics if `members.len()` differs from the number of representatives.
-pub fn expand_weighted_supervised(
-    ordering: &ClusterOrdering,
-    members: &[Vec<usize>],
-    sup: &Supervisor,
-) -> Result<ExpandedOrdering, Stop> {
-    assert_eq!(members.len(), ordering.len(), "one member list per representative");
-    let total: usize = members.iter().map(Vec::len).sum();
-    assert!(total <= u32::MAX as usize, "object ids exceed the u32 expansion range");
-    let mut ticker = Ticker::new(sup, EXPAND_TICK);
-    let mut entries = Vec::with_capacity(total);
-    for (j, e) in ordering.entries.iter().enumerate() {
-        ticker.tick()?;
+pub fn weighted_rules(ordering: &ClusterOrdering) -> Vec<PositionRule> {
+    let entries = &ordering.entries;
+    let next = entries.iter().skip(1).map(|n| Some(n.reachability)).chain([None]);
+    let rule = |(e, next): (&OrderingEntry, Option<f64>)| {
         // The paper leaves s_{j+1} undefined for the last representative;
         // its core-distance is the natural in-cluster estimate there.
-        let next_reach = ordering.entries.get(j + 1).map_or(e.core_distance, |n| n.reachability);
-        let filler = e.reachability.min(next_reach);
-        for (m, &obj) in members[e.id].iter().enumerate() {
-            entries.push(ExpandedEntry {
-                object: id_u32(obj),
-                reachability: if m == 0 { e.reachability } else { filler },
-                core_estimate: e.core_distance,
-            });
-        }
-    }
-    debug_assert_eq!(entries.len(), total);
-    Ok(ExpandedOrdering { entries })
+        let filler = e.reachability.min(next.unwrap_or(e.core_distance));
+        PositionRule { first: e.reachability, filler, core: e.core_distance }
+    };
+    entries.iter().zip(next).map(rule).collect()
 }
 
-/// §8-step-5 expansion (for `OPTICS-SA/CF Bubbles`): the first member of
-/// bubble `B_j` keeps the bubble's reachDist (marking the jump to `B_j`),
-/// the remaining `n−1` members get the bubble's *virtual reachability*
-/// (Definition 9).
-///
-/// # Panics
-///
-/// Panics if `members.len()` differs from the number of bubbles.
-pub fn expand_bubbles(
-    ordering: &ClusterOrdering,
-    members: &[Vec<usize>],
-    space: &BubbleSpace,
-    min_pts: usize,
-) -> ExpandedOrdering {
-    unsupervised("bubble expansion", |sup| {
-        expand_bubbles_supervised(ordering, members, space, min_pts, sup)
-    })
-}
-
-/// [`expand_bubbles`] under supervision: consults `sup` every
-/// `EXPAND_TICK` bubbles. On `Err` the partial expansion is discarded;
-/// on `Ok` the result is bit-for-bit the unsupervised one.
+/// §8-step-5 rule (for `OPTICS-SA/CF Bubbles`): the first member of bubble
+/// `B_j` keeps the bubble's reachDist (marking the jump to `B_j`), the
+/// remaining `n−1` members get the bubble's *virtual reachability*
+/// (Definition 9), which is also every member's core estimate. Reads
+/// `space` only here, so the caller may drop it (and its distance matrix)
+/// before the expansion. Consults `sup` every `EXPAND_TICK` bubbles.
 ///
 /// # Errors
 ///
 /// [`Stop`] when cancelled or past the deadline.
-///
-/// # Panics
-///
-/// Panics if `members.len()` differs from the number of bubbles.
-pub fn expand_bubbles_supervised(
+pub fn bubble_rules(
     ordering: &ClusterOrdering,
-    members: &[Vec<usize>],
     space: &BubbleSpace,
     min_pts: usize,
     sup: &Supervisor,
-) -> Result<ExpandedOrdering, Stop> {
-    assert_eq!(members.len(), ordering.len(), "one member list per bubble");
-    let total: usize = members.iter().map(Vec::len).sum();
-    assert!(total <= u32::MAX as usize, "object ids exceed the u32 expansion range");
+) -> Result<Vec<PositionRule>, Stop> {
     let mut ticker = Ticker::new(sup, EXPAND_TICK);
-    let mut entries = Vec::with_capacity(total);
-    for e in &ordering.entries {
+    let rule = |e: &OrderingEntry| {
         ticker.tick()?;
         let bubble = space.bubble(e.id);
         // Def. 9's second branch wants *the* core-distance of a sub-MinPts
@@ -201,16 +151,132 @@ pub fn expand_bubbles_supervised(
             space.core_distance_unbounded(e.id, min_pts).unwrap_or(e.core_distance)
         };
         let vreach = virtual_reachability(bubble, min_pts, core);
-        for (m, &obj) in members[e.id].iter().enumerate() {
-            entries.push(ExpandedEntry {
-                object: id_u32(obj),
-                reachability: if m == 0 { e.reachability } else { vreach },
-                core_estimate: vreach,
-            });
+        Ok(PositionRule { first: e.reachability, filler: vreach, core: vreach })
+    };
+    ordering.entries.iter().map(rule).collect()
+}
+
+/// The original objects in walk order, 4 bytes per object: the members
+/// of the representative at walk position `j` run from the previous
+/// position's end (0 for the first) to `ends[j]`.
+#[derive(Debug)]
+pub struct WalkOrder {
+    objects: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl WalkOrder {
+    /// Counting-sorts the objects by the walk position of their
+    /// representative (`assignment[i]` is object `i`'s representative id);
+    /// within a run the ids ascend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assigned representative is missing from the walk.
+    pub fn from_assignment(ordering: &ClusterOrdering, assignment: &[u32]) -> Self {
+        assert!(assignment.len() <= u32::MAX as usize, "object ids exceed the u32 expansion range");
+        // Run lengths by representative id, then each run's start in walk
+        // order, which the scatter advances to the run's end.
+        let mut next = vec![0usize; ordering.len()];
+        for &a in assignment {
+            next[a as usize] += 1;
         }
+        let mut end = 0;
+        let ends = ordering
+            .entries
+            .iter()
+            .map(|e| {
+                let len = std::mem::replace(&mut next[e.id], end);
+                end += len;
+                end
+            })
+            .collect();
+        assert_eq!(end, assignment.len(), "an assigned representative is missing from the walk");
+        let mut objects = vec![0u32; assignment.len()];
+        for (i, &a) in assignment.iter().enumerate() {
+            let slot = &mut next[a as usize];
+            objects[*slot] = id_u32(i);
+            *slot += 1;
+        }
+        Self { objects, ends }
     }
-    debug_assert_eq!(entries.len(), total);
-    Ok(ExpandedOrdering { entries })
+
+    /// Concatenates `members` in walk order, each list in its own order.
+    fn from_members(ordering: &ClusterOrdering, members: &[Vec<usize>]) -> Self {
+        assert_eq!(members.len(), ordering.len(), "one member list per representative");
+        let mut objects = Vec::with_capacity(members.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(members.len());
+        for e in &ordering.entries {
+            objects.extend(members[e.id].iter().map(|&o| id_u32(o)));
+            ends.push(objects.len());
+        }
+        Self { objects, ends }
+    }
+
+    /// Expands the walk: the objects of position `j` take `rules[j]`, in
+    /// one sequential pass. Consults `sup` every `EXPAND_TICK` positions;
+    /// on `Err` the partial expansion is discarded.
+    ///
+    /// # Errors
+    ///
+    /// [`Stop`] when cancelled or past the deadline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rules` does not hold one rule per walk position.
+    pub fn expand(
+        &self,
+        rules: &[PositionRule],
+        sup: &Supervisor,
+    ) -> Result<ExpandedOrdering, Stop> {
+        assert_eq!(rules.len(), self.ends.len(), "one rule per walk position");
+        let mut ticker = Ticker::new(sup, EXPAND_TICK);
+        let mut entries = Vec::with_capacity(self.objects.len());
+        let mut start = 0;
+        for (rule, &end) in rules.iter().zip(&self.ends) {
+            ticker.tick()?;
+            if let Some((&first, rest)) = self.objects[start..end].split_first() {
+                let entry = |object, reachability| ExpandedEntry {
+                    object,
+                    reachability,
+                    core_estimate: rule.core,
+                };
+                entries.push(entry(first, rule.first));
+                entries.extend(rest.iter().map(|&o| entry(o, rule.filler)));
+            }
+            start = end;
+        }
+        Ok(ExpandedOrdering { entries })
+    }
+}
+
+/// [`weighted_rules`] expansion of member lists (`members[r]` are the
+/// objects of representative `r`, expanded in list order).
+///
+/// # Panics
+///
+/// Panics if `members.len()` differs from the number of representatives.
+pub fn expand_weighted(ordering: &ClusterOrdering, members: &[Vec<usize>]) -> ExpandedOrdering {
+    let walk = WalkOrder::from_members(ordering, members);
+    unsupervised("weighted expansion", |sup| walk.expand(&weighted_rules(ordering), sup))
+}
+
+/// [`bubble_rules`] expansion of member lists (`members[b]` are the
+/// objects of bubble `b`, expanded in list order).
+///
+/// # Panics
+///
+/// Panics if `members.len()` differs from the number of bubbles.
+pub fn expand_bubbles(
+    ordering: &ClusterOrdering,
+    members: &[Vec<usize>],
+    space: &BubbleSpace,
+    min_pts: usize,
+) -> ExpandedOrdering {
+    let walk = WalkOrder::from_members(ordering, members);
+    unsupervised("bubble expansion", |sup| {
+        walk.expand(&bubble_rules(ordering, space, min_pts, sup)?, sup)
+    })
 }
 
 #[cfg(test)]

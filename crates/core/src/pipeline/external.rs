@@ -9,7 +9,9 @@
 //!    row, accumulate the sufficient statistics, and remember each row's
 //!    byte offset (8 bytes/row) and classification (4 bytes/row) — the
 //!    only per-object state ever held in memory.
-//! 3. OPTICS runs on the `k` Data Bubbles in memory.
+//! 3. OPTICS runs on the `k` Data Bubbles in memory; the classification
+//!    is then counting-sorted into a `u32` walk order (4 bytes/row) and
+//!    freed before the expansion is allocated.
 //! 4. **Pass 3** — write the output file *in cluster order* by seeking to
 //!    each row in expansion order, prefixing it with its plotted
 //!    reachability (this replaces the paper's final external sort).
@@ -27,7 +29,7 @@ use db_spatial::{id_u32, Dataset, NnTally};
 use db_supervise::Supervisor;
 
 use crate::bubble::DataBubble;
-use crate::pipeline::{expand_bubbles, ExpandedOrdering, PipelineTimings};
+use crate::pipeline::{bubble_rules, ExpandedOrdering, PipelineTimings, WalkOrder};
 use crate::space::BubbleSpace;
 use db_optics::OpticsParams;
 
@@ -223,11 +225,12 @@ pub fn run_external(
     let bubbles: Vec<DataBubble> = kept.iter().map(DataBubble::from_cf).collect();
     let space = BubbleSpace::new(bubbles);
     let rep_ordering = optics(&space, &cfg.optics);
-    let mut members = vec![Vec::new(); kept.len()];
-    for (i, &a) in assignment.iter().enumerate() {
-        members[a as usize].push(i);
-    }
-    let expanded = expand_bubbles(&rep_ordering, &members, &space, cfg.optics.min_pts);
+    let rules = bubble_rules(&rep_ordering, &space, cfg.optics.min_pts, &clock)
+        .map_err(io::Error::other)?;
+    drop(space);
+    let walk = WalkOrder::from_assignment(&rep_ordering, &assignment);
+    drop(assignment);
+    let expanded = walk.expand(&rules, &clock).map_err(io::Error::other)?;
     let clustering = clock.elapsed() - compression;
 
     // ---------------------------------------------------------- pass 3

@@ -18,6 +18,7 @@
 mod expand;
 pub mod external;
 
+use std::borrow::Cow;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::time::Duration;
@@ -34,8 +35,8 @@ use db_supervise::{fault, Stop, Supervisor};
 pub use db_supervise::{CancelToken, RunBudget};
 
 pub use expand::{
-    expand_bubbles, expand_bubbles_supervised, expand_weighted, expand_weighted_supervised,
-    ExpandedEntry, ExpandedOrdering,
+    bubble_rules, expand_bubbles, expand_weighted, weighted_rules, ExpandedEntry, ExpandedOrdering,
+    PositionRule, WalkOrder,
 };
 pub use external::{run_external, ExternalConfig, ExternalError, ExternalOutput};
 
@@ -453,9 +454,8 @@ pub fn run_pipeline(ds: &Dataset, cfg: &PipelineConfig) -> Result<PipelineOutput
     db_obs::trace_instant!("pipeline.compressed", "n_representatives", reps.len());
 
     // ------------------------------------------------------ steps 2–3
-    let clustered = cluster_step(&reps, &stats, cfg, &sup)?;
-    let (expanded, recovery) =
-        recover_step(&clustered, reps.len(), assignment.as_deref(), cfg, &sup)?;
+    let mut clustered = cluster_step(&reps, &stats, cfg, &sup)?;
+    let (expanded, recovery) = recover_step(&mut clustered, assignment.map(Cow::Owned), cfg, &sup)?;
 
     Ok(PipelineOutput {
         rep_ordering: clustered.rep_ordering,
@@ -522,10 +522,11 @@ fn cluster_step(
 /// the configured recovery expansion of the step-2 ordering, with its wall
 /// time. `assignment` maps every original object to its representative
 /// and is required for non-naive recoveries.
+/// The space (and its matrix) is dropped once the rules are read, and an
+/// owned assignment once it is sorted into walk order, before the entries.
 fn recover_step(
-    clustered: &Clustered,
-    n_reps: usize,
-    assignment: Option<&[u32]>,
+    clustered: &mut Clustered,
+    assignment: Option<Cow<'_, [u32]>>,
     cfg: &PipelineConfig,
     sup: &Supervisor,
 ) -> Result<(Option<ExpandedOrdering>, Duration), PipelineError> {
@@ -539,21 +540,20 @@ fn recover_step(
             let Some(assignment) = assignment else {
                 return Err(PipelineError::Internal("classification did not run before recovery"));
             };
-            let mut members = vec![Vec::new(); n_reps];
-            for (i, &a) in assignment.iter().enumerate() {
-                members[a as usize].push(i);
-            }
             let ordering = &clustered.rep_ordering;
-            Some(match (cfg.recovery, &clustered.space) {
+            let rules = match (cfg.recovery, clustered.space.take()) {
                 (Recovery::Bubbles, Some(space)) => {
-                    expand_bubbles_supervised(ordering, &members, space, cfg.optics.min_pts, sup)
+                    bubble_rules(ordering, &space, cfg.optics.min_pts, sup)
                         .map_err(recovery_stop)?
                 }
                 (Recovery::Bubbles, None) => {
                     return Err(PipelineError::Internal("bubble space missing for bubble recovery"))
                 }
-                _ => expand_weighted_supervised(ordering, &members, sup).map_err(recovery_stop)?,
-            })
+                _ => weighted_rules(ordering),
+            };
+            let walk = WalkOrder::from_assignment(ordering, &assignment);
+            drop(assignment);
+            Some(walk.expand(&rules, sup).map_err(recovery_stop)?)
         }
     };
     drop(span_recovery);
@@ -615,9 +615,9 @@ pub fn recluster_from_compression(
 ) -> Result<PipelineOutput, PipelineError> {
     let (reps, stats) = (inc.representatives(), inc.stats());
     let ((clustered, expanded, recovery), run_id) = recluster_run(reps, stats, cfg, |sup| {
-        let clustered = cluster_step(reps, stats, cfg, sup)?;
-        let (expanded, recovery) =
-            recover_step(&clustered, reps.len(), Some(inc.assignment()), cfg, sup)?;
+        let mut clustered = cluster_step(reps, stats, cfg, sup)?;
+        let assignment = Some(Cow::Borrowed(inc.assignment()));
+        let (expanded, recovery) = recover_step(&mut clustered, assignment, cfg, sup)?;
         Ok((clustered, expanded, recovery))
     })?;
     Ok(PipelineOutput {

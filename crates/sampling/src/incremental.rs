@@ -236,15 +236,6 @@ impl IncrementalCompression {
         }
     }
 
-    /// Per-representative member lists (arrival order indices).
-    pub fn members(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.k()];
-        for (i, &a) in self.assignment.iter().enumerate() {
-            out[a as usize].push(i);
-        }
-        out
-    }
-
     /// Overrides the absorbed-object count. **Test injection only**: lets
     /// the [`Dataset::MAX_POINTS`] boundary be exercised without 2³² real
     /// absorbs. After the call [`Self::n_objects`] and
@@ -308,8 +299,7 @@ mod tests {
         let mut inc = IncrementalCompression::from_representatives(reps);
         assert_eq!(inc.absorb(&[10.0]), 0);
         assert_eq!(inc.absorb(&[90.0]), 1);
-        assert_eq!(inc.members()[0], vec![0, 2]);
-        assert_eq!(inc.members()[1], vec![1, 3]);
+        assert_eq!(inc.assignment(), [0, 1, 0, 1]);
     }
 
     #[test]
